@@ -32,6 +32,20 @@ from .ratio import format_exact, to_decimal
 _KINDS = {kind.value: kind for kind in IndicatorKind}
 
 
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pubs", required=True,
                         help="publications CSV (journal,year,pubs)")
@@ -51,7 +65,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    parser.add_argument("--places", type=int, default=2,
+    parser.add_argument("--places", type=_non_negative, default=2,
                         help="decimal places for display values")
 
 
@@ -76,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_spec_args(p)
     _add_output_args(p)
-    p.add_argument("--k-max", type=int, default=100,
-                   help="largest injection size to scan")
+    p.add_argument("--k-max", type=_positive, default=100,
+                   help="largest injection size to report")
 
     p = sub.add_parser("mine",
                        help="exhaustively search bounded data for reversals")
@@ -85,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.add_argument("--pub-max", type=int, required=True)
     p.add_argument("--cit-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--limit", type=int, default=10)
+    p.add_argument("--k-max", type=_positive, required=True)
+    p.add_argument("--limit", type=_positive, default=10)
 
     p = sub.add_parser("verify-paper",
                        help="check the built-in reference tables end to end")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 from itertools import product
+from math import isqrt
 from typing import Iterator
 
 from .core import (
@@ -23,8 +24,10 @@ from .core import (
     JournalData,
     ZeroDenominator,
     apply_injection,
+    cit_count,
     compute,
     denominator_years,
+    pub_count,
 )
 from .ratio import Ratio
 
@@ -127,14 +130,58 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     return Verdict(tag, before, after)
 
 
-def min_reversal_k(left: JournalData, right: JournalData,
-                   spec: IndicatorSpec, target_year: int,
-                   k_max: int) -> int | None:
-    """Smallest k in 1..k_max whose injection at ``target_year`` (into
-    both journals) reverses the pair's strict ordering; None if none."""
-    if target_year not in denominator_years(spec):
+def _linear_threshold(d0: int, slope: int) -> int | None:
+    """Smallest k >= 1 at which ``d0 + k*slope`` has the strict sign
+    opposite to ``d0`` (which must be non-zero); None if it never does."""
+    if d0 * slope >= 0:
+        return None
+    return abs(d0) // abs(slope) + 1
+
+
+def _quadratic_threshold(a: int, b: int, c: int) -> int | None:
+    """Smallest k >= 1 at which ``a*k*k + b*k + c`` has the strict sign
+    opposite to ``c`` (which must be non-zero); None if it never does.
+
+    Exact: the roots are bracketed with ``math.isqrt`` on the integer
+    discriminant, so no float or search is involved.
+    """
+    if a == 0:
+        return _linear_threshold(c, b)
+    if c < 0:
+        a, b, c = -a, -b, -c
+    # now c > 0; find the first k >= 1 with a*k*k + b*k + c < 0
+    disc = b * b - 4 * a * c
+    if a < 0:
+        # disc > 0 and the roots straddle 0: negative just past the larger
+        # root, i.e. once 2|a|k - b > sqrt(disc)
+        return -(-(isqrt(disc) + 1 + b) // (-2 * a))
+    # a > 0: negative strictly between the roots, i.e. (2ak + b)^2 < disc
+    if disc <= 0:
+        return None
+    m = isqrt(disc)
+    if m * m == disc:
+        m -= 1
+    lo = max(1, -((m + b) // (2 * a)))
+    return lo if lo <= (m - b) // (2 * a) else None
+
+
+def reversal_threshold(left: JournalData, right: JournalData,
+                       spec: IndicatorSpec, year: int) -> int | None:
+    """Exact smallest k >= 1 whose uncited injection of k publications at
+    ``year`` into both journals strictly reverses their ordering; None if
+    no k ever does.  An exact tie after injection is not a reversal.
+
+    Multiplying (left - right) after injecting k by its positive common
+    denominator gives an integer polynomial Q(k) with Q(0) != 0; the
+    answer is the first k >= 1 where Q's sign is strictly opposite to
+    Q(0)'s.  For the totals-based kinds (value C/P), Q is linear:
+    C_L*(P_R + k) - C_R*(P_L + k).  For sync-aor, with a/b (b > 0) the
+    share of n*(left - right) from the years other than ``year``, Q is
+    the quadratic a*(p_L + k)*(p_R + k) + b*(c_L*(p_R + k) - c_R*(p_L + k)).
+    """
+    if year not in denominator_years(spec):
         raise InvalidTargetYear(
-            f"year {target_year} is not a denominator year for "
+            f"year {year} is not a denominator year for "
             f"{spec.kind.value} n={spec.n} at {spec.target_year}")
     before_left = compute(left, spec)
     before_right = compute(right, spec)
@@ -142,12 +189,33 @@ def min_reversal_k(left: JournalData, right: JournalData,
         raise PreconditionViolated(
             f"no strict ordering between {left.journal_id} and "
             f"{right.journal_id} before injection")
-    for k in range(1, k_max + 1):
-        scenario = PairScenario(left, right, spec,
-                                Injection.single(target_year, k))
-        if check_z_consistency(scenario).tag is VerdictTag.REVERSED:
-            return k
-    return None
+    if spec.kind is IndicatorKind.SYNC_AOR:
+        p_l, p_r = pub_count(left, year), pub_count(right, year)
+        c_l = cit_count(left, spec.target_year, year)
+        c_r = cit_count(right, spec.target_year, year)
+        other = (spec.n * (before_left - before_right)
+                 - Fraction(c_l, p_l) + Fraction(c_r, p_r))
+        a, b = other.numerator, other.denominator
+        return _quadratic_threshold(
+            a, a * (p_l + p_r) + b * (c_l - c_r),
+            a * p_l * p_r + b * (c_l * p_r - c_r * p_l))
+    # value = C/P with P the denominator years' publications, so C = value*P
+    p_l = sum(pub_count(left, y) for y in denominator_years(spec))
+    p_r = sum(pub_count(right, y) for y in denominator_years(spec))
+    c_l = int(before_left * p_l)
+    c_r = int(before_right * p_r)
+    return _linear_threshold(c_l * p_r - c_r * p_l, c_l - c_r)
+
+
+def min_reversal_k(left: JournalData, right: JournalData,
+                   spec: IndicatorSpec, target_year: int,
+                   k_max: int) -> int | None:
+    """Smallest k >= 1 whose injection at ``target_year`` (into both
+    journals) reverses the pair's strict ordering, solved exactly by
+    :func:`reversal_threshold`; None if that k exceeds ``k_max`` or no
+    k reverses the pair."""
+    k = reversal_threshold(left, right, spec, target_year)
+    return k if k is not None and k <= k_max else None
 
 
 def equal_pubs_preserved(left: JournalData, right: JournalData,
@@ -240,7 +308,8 @@ def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
     Both indicators equal (total citations) / (total publications), so a
     reversal with before-ordering left < right requires exactly:
     CL*PR < CR*PL (strict before), CL > CR (the flip direction), and the
-    crossover k* = floor((CR*PL - CL*PR) / (CL - CR)) + 1 within k_max.
+    crossover k* = floor((CR*PL - CL*PR) / (CL - CR)) + 1 within k_max,
+    which is :func:`_linear_threshold`.
     Those conditions prune whole subtrees without evaluating indicators.
     """
     n = bounds.n
@@ -281,9 +350,8 @@ def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
                 for rc in _vectors_with_sum(len(cit_keys), bounds.cit_max,
                                             cr_lo, cr_hi):
                     cr = sum(rc)
-                    # crossover: k*(cl - cr) > cr*pl - cl*pr
-                    k_star = (cr * pl - cl * pr) // (cl - cr) + 1
-                    if k_star > bounds.k_max:
+                    k_star = _linear_threshold(cl * pr - cr * pl, cl - cr)
+                    if k_star is None or k_star > bounds.k_max:
                         continue
                     left = journal("L", lp, lc)
                     right = journal("R", rp, rc)

@@ -77,7 +77,8 @@ class SensitivityRow:
     """How fragile an adjacent strict pair is to uncited additions.
 
     ``per_year_min_k`` maps each denominator year to the smallest common
-    uncited injection that flips the pair, or None within k_max.
+    uncited injection that flips the pair, solved exactly; None when no
+    k <= k_max flips it.
     """
 
     upper_id: str
@@ -186,8 +187,15 @@ def corpus_from_json(text: str, provenance: str = "") -> Corpus:
     doc = json.loads(text)
     journals = {}
     for journal_id, entry in doc.get("journals", {}).items():
-        pubs = {int(year): count for year, count in entry["pubs"].items()}
-        cits = {(c["citing"], c["cited"]): c["count"] for c in entry["cits"]}
+        try:
+            pubs = {int(year): count
+                    for year, count in entry["pubs"].items()}
+            cits = {(c["citing"], c["cited"]): c["count"]
+                    for c in entry["cits"]}
+        except KeyError as exc:
+            raise ValidationError(
+                f"journal {journal_id!r}: missing key {exc.args[0]!r}") \
+                from None
         journals[journal_id] = JournalData(journal_id, pubs, cits)
     return Corpus(journals, provenance)
 
@@ -229,25 +237,31 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
     """Per adjacent strictly-ordered pair, the minimal common uncited
     injection (by denominator year) that would flip the ranking.
 
-    Every reported minimum is re-verified as an actual reversal.
+    Every reported minimum k is re-verified as an actual reversal, and
+    k - 1 as not one.
     """
     ranking = rank(corpus, spec)
     rows: list[SensitivityRow] = []
     for upper, lower in zip(ranking.entries, ranking.entries[1:]):
         if upper.value == lower.value:
             continue
+        left = corpus.journals[upper.journal_id]
+        right = corpus.journals[lower.journal_id]
         per_year: dict[int, int | None] = {}
         for year in denominator_years(spec):
-            k = min_reversal_k(corpus.journals[upper.journal_id],
-                               corpus.journals[lower.journal_id],
-                               spec, year, k_max)
+            k = min_reversal_k(left, right, spec, year, k_max)
             if k is not None:
-                verdict = check_z_consistency(PairScenario(
-                    corpus.journals[upper.journal_id],
-                    corpus.journals[lower.journal_id],
-                    spec, Injection.single(year, k)))
-                assert verdict.tag is VerdictTag.REVERSED
+                assert _reverses(left, right, spec, year, k)
+                assert k == 1 or not _reverses(left, right, spec, year,
+                                               k - 1)
             per_year[year] = k
         rows.append(SensitivityRow(upper.journal_id, lower.journal_id,
                                    per_year, k_max))
     return rows
+
+
+def _reverses(left: JournalData, right: JournalData, spec: IndicatorSpec,
+              year: int, k: int) -> bool:
+    verdict = check_z_consistency(
+        PairScenario(left, right, spec, Injection.single(year, k)))
+    return verdict.tag is VerdictTag.REVERSED

@@ -111,6 +111,28 @@ def test_unknown_command_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sensitivity", "--k-max", "0"),
+    ("sensitivity", "--k-max", "-5"),
+    ("mine", "--k-max", "0"),
+    ("mine", "--limit", "0"),
+    ("mine", "--limit", "-1"),
+    ("compute", "--places", "-1"),
+    ("sensitivity", "--places", "-1"),
+])
+def test_out_of_range_flag_is_usage_error(table_1a_files, command, flag,
+                                          value):
+    pubs, cits = table_1a_files
+    argv = [command, "--kind", "sync-roa", "-n", "2", "--year", str(Y)]
+    if command == "mine":
+        argv += ["--pub-max", "2", "--cit-max", "2", "--k-max", "2"]
+    else:
+        argv += ["--pubs", pubs, "--cits", cits]
+    code, out = invoke(argv + [flag, value])
+    assert code == 2
+    assert out == ""
+
+
 def test_bad_data_is_exit_one(tmp_path):
     pubs = tmp_path / "pubs.csv"
     cits = tmp_path / "cits.csv"

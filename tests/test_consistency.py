@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from impactz import (
     IndicatorKind,
@@ -17,11 +19,13 @@ from impactz import (
     apply_injection,
     check_z_consistency,
     compute,
+    denominator_years,
     equal_pubs_preserved,
     mine_counterexamples,
     min_reversal_k,
     sync_if_roa,
 )
+from impactz.consistency import reversal_threshold
 
 from conftest import Y
 
@@ -137,6 +141,82 @@ def test_min_reversal_k_minimality_scan(roa_pair):
     assert flips == list(range(21, 101))  # monotone once flipped
 
 
+def test_reversal_threshold_aor_skips_exact_tie():
+    # sync-aor reverses only inside a window of k: exact ties at k = 4
+    # and k = 13, reversed strictly between, preserved again beyond
+    left = JournalData("L", {Y - 2: 2, Y - 1: 2},
+                       {(Y, Y - 2): 1, (Y, Y - 1): 5})
+    right = JournalData("R", {Y - 2: 3, Y - 1: 5},
+                        {(Y, Y - 2): 1, (Y, Y - 1): 9})
+    assert reversal_threshold(left, right, AOR2, Y - 1) == 5
+    assert min_reversal_k(left, right, AOR2, Y - 1, 4) is None
+    tags = [check_z_consistency(PairScenario(
+        left, right, AOR2, Injection.single(Y - 1, k))).tag
+        for k in (4, 5, 12, 13, 14)]
+    assert tags == [VerdictTag.TIE_AFTER, VerdictTag.REVERSED,
+                    VerdictTag.REVERSED, VerdictTag.TIE_AFTER,
+                    VerdictTag.PRESERVED]
+
+
+def _flips(left, right, spec, year, k):
+    return check_z_consistency(PairScenario(
+        left, right, spec, Injection.single(year, k))).tag \
+        is VerdictTag.REVERSED
+
+
+@st.composite
+def strictly_ordered_pairs(draw):
+    spec = IndicatorSpec(draw(st.sampled_from(list(IndicatorKind))),
+                         draw(st.integers(1, 3)), Y,
+                         draw(st.sampled_from([0, 1])))
+    if spec.kind is IndicatorKind.DIACHRONOUS:
+        cit_keys = [(Y + spec.s + i, Y) for i in range(spec.n)]
+    else:
+        cit_keys = [(Y, y) for y in denominator_years(spec)]
+
+    def journal(name):
+        return JournalData(
+            name,
+            {y: draw(st.integers(1, 30)) for y in denominator_years(spec)},
+            {key: draw(st.integers(0, 60)) for key in cit_keys})
+
+    left, right = journal("L"), journal("R")
+    assume(compute(left, spec) != compute(right, spec))
+    return left, right, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=strictly_ordered_pairs())
+def test_min_reversal_k_matches_scan_oracle(pair):
+    # independent oracle: the plain k = 1..k_max scan, for every year
+    left, right, spec = pair
+    k_max, far = 30, 200
+    gap = compute(left, spec) - compute(right, spec)
+    for year in denominator_years(spec):
+        flips = [k for k in range(1, k_max + 1)
+                 if _flips(left, right, spec, year, k)]
+        assert min_reversal_k(left, right, spec, year, k_max) \
+            == (flips[0] if flips else None)
+        k = reversal_threshold(left, right, spec, year)
+        if k is not None:
+            assert _flips(left, right, spec, year, k)
+            assert k == 1 or not _flips(left, right, spec, year, k - 1)
+        elif spec.kind is IndicatorKind.SYNC_AOR:
+            # None means never: the quadratic's leading coefficient (the
+            # other years' share of the gap) cannot pull Q across zero
+            other = sum(
+                Fraction(left.cits.get((Y, y), 0), left.pubs[y])
+                - Fraction(right.cits.get((Y, y), 0), right.pubs[y])
+                for y in denominator_years(spec) if y != year)
+            assert other * gap >= 0
+            assert not any(_flips(left, right, spec, year, k)
+                           for k in range(k_max + 1, far + 1))
+        else:
+            # None means never: the citation gap does not oppose the order
+            slope = sum(left.cits.values()) - sum(right.cits.values())
+            assert slope * gap >= 0
+
+
 # --- equal-publications preservation ----------------------------------------
 
 def test_equal_pubs_preserved_example():
@@ -234,31 +314,38 @@ def test_miner_canonical_orientation():
         assert witness.verdict.before[0] < witness.verdict.before[1]
 
 
-def test_miner_matches_naive_enumeration():
-    # independent oracle: brute-force the same tiny RoA box and compare
-    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=3, target_year=Y)
+@pytest.mark.parametrize("kind, s, pub_years, cit_keys", [
+    (IndicatorKind.SYNC_ROA, 0, (Y - 2, Y - 1), ((Y, Y - 2), (Y, Y - 1))),
+    (IndicatorKind.DIACHRONOUS, 0, (Y,), ((Y, Y), (Y + 1, Y))),
+    (IndicatorKind.DIACHRONOUS, 1, (Y,), ((Y + 1, Y), (Y + 2, Y))),
+], ids=["sync-roa", "diachronous-s0", "diachronous-s1"])
+def test_miner_matches_naive_enumeration(kind, s, pub_years, cit_keys):
+    # independent oracle: brute-force the same tiny box and compare
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=3, target_year=Y,
+                          s=s)
+    spec = IndicatorSpec(kind, 2, Y, s)
     expected = []
-    years = (Y - 2, Y - 1)
-    vecs = list(product(range(1, 3), repeat=2))
-    cvecs = list(product(range(5), repeat=2))
+    vecs = list(product(range(1, 3), repeat=len(pub_years)))
+    cvecs = list(product(range(5), repeat=len(cit_keys)))
     for lp in vecs:
         for lc in cvecs:
             for rp in vecs:
                 for rc in cvecs:
-                    left = JournalData("L", dict(zip(years, lp)),
-                                       {(Y, y): c for y, c in zip(years, lc)})
-                    right = JournalData("R", dict(zip(years, rp)),
-                                        {(Y, y): c for y, c in zip(years, rc)})
-                    for inj_year in years:
+                    left = JournalData("L", dict(zip(pub_years, lp)),
+                                       dict(zip(cit_keys, lc)))
+                    right = JournalData("R", dict(zip(pub_years, rp)),
+                                        dict(zip(cit_keys, rc)))
+                    for inj_year in pub_years:
                         for k in range(1, 4):
                             scenario = PairScenario(
-                                left, right, ROA2,
+                                left, right, spec,
                                 Injection.single(inj_year, k))
                             verdict = check_z_consistency(scenario)
                             if (verdict.tag is VerdictTag.REVERSED
                                     and verdict.before[0] < verdict.before[1]):
                                 expected.append(scenario)
-    mined = mine_counterexamples(IndicatorKind.SYNC_ROA, bounds, 10**6)
+    mined = mine_counterexamples(kind, bounds, 10**6)
+    assert expected
     assert [w.scenario for w in mined] == expected
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -124,6 +125,19 @@ def test_json_keys_sorted():
     assert text.index('"A"') < text.index('"B"')
     assert text.index('"1995"') < text.index('"1999"')
     assert text.index('"citing": 1999') < text.index('"citing": 2000')
+
+
+@pytest.mark.parametrize("path, key", [
+    (("J",), "pubs"), (("J",), "cits"), (("J", "cits", 0), "citing"),
+    (("J", "cits", 0), "cited"), (("J", "cits", 0), "count")])
+def test_json_missing_key_is_validation_error(path, key):
+    doc = json.loads(corpus_to_json(load_corpus(PUBS_1A, CITS_1A)))
+    node = doc["journals"]
+    for step in path:
+        node = node[step]
+    del node[key]
+    with pytest.raises(ValidationError, match=f"'J'.*'{key}'"):
+        corpus_from_json(json.dumps(doc))
 
 
 # --- ranking ----------------------------------------------------------------
