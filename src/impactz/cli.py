@@ -69,41 +69,42 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
                         help="decimal places for display values")
 
 
+def _add_command(sub, name: str, func, help: str,
+                 *arg_groups) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
+    for add_args in arg_groups:
+        add_args(parser)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impactz",
         description="Exact impact-factor indicators and Z-consistency audits")
     sub = parser.add_subparsers(dest="command", required=True)
+    corpus_args = (_add_corpus_args, _add_spec_args, _add_output_args)
 
-    p = sub.add_parser("compute", help="indicator value per journal")
-    _add_corpus_args(p)
-    _add_spec_args(p)
-    _add_output_args(p)
-
-    p = sub.add_parser("rank", help="competition-ranked journal table")
-    _add_corpus_args(p)
-    _add_spec_args(p)
-    _add_output_args(p)
-
-    p = sub.add_parser("sensitivity",
-                       help="minimal uncited injections that flip adjacent ranks")
-    _add_corpus_args(p)
-    _add_spec_args(p)
-    _add_output_args(p)
+    _add_command(sub, "compute", _cmd_compute,
+                 "indicator value per journal", *corpus_args)
+    _add_command(sub, "rank", _cmd_rank,
+                 "competition-ranked journal table", *corpus_args)
+    p = _add_command(sub, "sensitivity", _cmd_sensitivity,
+                     "minimal uncited injections that flip adjacent ranks",
+                     *corpus_args)
     p.add_argument("--k-max", type=_positive, default=100,
                    help="largest injection size to report")
 
-    p = sub.add_parser("mine",
-                       help="exhaustively search bounded data for reversals")
-    _add_spec_args(p)
-    _add_output_args(p)
+    p = _add_command(sub, "mine", _cmd_mine,
+                     "exhaustively search bounded data for reversals",
+                     _add_spec_args, _add_output_args)
     p.add_argument("--pub-max", type=int, required=True)
     p.add_argument("--cit-max", type=int, required=True)
     p.add_argument("--k-max", type=_positive, required=True)
     p.add_argument("--limit", type=_positive, default=10)
 
-    p = sub.add_parser("verify-paper",
-                       help="check the built-in reference tables end to end")
+    _add_command(sub, "verify-paper", _cmd_verify_paper,
+                 "check the built-in reference tables end to end")
     return parser
 
 
@@ -200,7 +201,7 @@ def _cmd_mine(args, out) -> int:
     return 0
 
 
-def _cmd_verify_paper(out) -> int:
+def _cmd_verify_paper(args, out) -> int:
     results = reference.run_checks()
     failures = 0
     for label, ok, detail in results:
@@ -220,15 +221,7 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args, out)
-        if args.command == "rank":
-            return _cmd_rank(args, out)
-        if args.command == "sensitivity":
-            return _cmd_sensitivity(args, out)
-        if args.command == "mine":
-            return _cmd_mine(args, out)
-        return _cmd_verify_paper(out)
+        return args.func(args, out)
     except (ParseError, ValidationError, ZeroDenominator,
             PreconditionViolated, InvalidTargetYear, OSError,
             ValueError) as exc:

@@ -130,39 +130,42 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     return Verdict(tag, before, after)
 
 
-def _linear_threshold(d0: int, slope: int) -> int | None:
-    """Smallest k >= 1 at which ``d0 + k*slope`` has the strict sign
-    opposite to ``d0`` (which must be non-zero); None if it never does."""
-    if d0 * slope >= 0:
-        return None
-    return abs(d0) // abs(slope) + 1
-
-
-def _quadratic_threshold(a: int, b: int, c: int) -> int | None:
-    """Smallest k >= 1 at which ``a*k*k + b*k + c`` has the strict sign
-    opposite to ``c`` (which must be non-zero); None if it never does.
+def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
+    """Inclusive (lo, hi) of the k >= 1 at which ``a*k*k + b*k + c`` has
+    the strict sign opposite to ``c`` (which must be non-zero); hi is None
+    when every k >= lo qualifies, and the result is None when no k does.
 
     Exact: the roots are bracketed with ``math.isqrt`` on the integer
-    discriminant, so no float or search is involved.
+    discriminant, so no float or search is involved.  ``a == 0`` is the
+    linear case.
     """
-    if a == 0:
-        return _linear_threshold(c, b)
     if c < 0:
         a, b, c = -a, -b, -c
-    # now c > 0; find the first k >= 1 with a*k*k + b*k + c < 0
+    # now c > 0; find the k >= 1 with a*k*k + b*k + c < 0
+    if a == 0:
+        return (c // -b + 1, None) if b < 0 else None
     disc = b * b - 4 * a * c
     if a < 0:
         # disc > 0 and the roots straddle 0: negative just past the larger
         # root, i.e. once 2|a|k - b > sqrt(disc)
-        return -(-(isqrt(disc) + 1 + b) // (-2 * a))
+        return -(-(isqrt(disc) + 1 + b) // (-2 * a)), None
     # a > 0: negative strictly between the roots, i.e. (2ak + b)^2 < disc
     if disc <= 0:
         return None
     m = isqrt(disc)
     if m * m == disc:
         m -= 1
-    lo = max(1, -((m + b) // (2 * a)))
-    return lo if lo <= (m - b) // (2 * a) else None
+    lo, hi = max(1, -((m + b) // (2 * a))), (m - b) // (2 * a)
+    return (lo, hi) if lo <= hi else None
+
+
+def _aor_coefficients(other: Fraction, p_l: int, c_l: int,
+                      p_r: int, c_r: int) -> tuple[int, int, int]:
+    """(a, b, c) of the sync-aor quadratic Q of :func:`reversal_threshold`
+    for ``other`` = a/b and the injection year's entries."""
+    a, b = other.numerator, other.denominator
+    return (a, a * (p_l + p_r) + b * (c_l - c_r),
+            a * p_l * p_r + b * (c_l * p_r - c_r * p_l))
 
 
 def reversal_threshold(left: JournalData, right: JournalData,
@@ -195,16 +198,15 @@ def reversal_threshold(left: JournalData, right: JournalData,
         c_r = cit_count(right, spec.target_year, year)
         other = (spec.n * (before_left - before_right)
                  - Fraction(c_l, p_l) + Fraction(c_r, p_r))
-        a, b = other.numerator, other.denominator
-        return _quadratic_threshold(
-            a, a * (p_l + p_r) + b * (c_l - c_r),
-            a * p_l * p_r + b * (c_l * p_r - c_r * p_l))
-    # value = C/P with P the denominator years' publications, so C = value*P
-    p_l = sum(pub_count(left, y) for y in denominator_years(spec))
-    p_r = sum(pub_count(right, y) for y in denominator_years(spec))
-    c_l = int(before_left * p_l)
-    c_r = int(before_right * p_r)
-    return _linear_threshold(c_l * p_r - c_r * p_l, c_l - c_r)
+        window = _reversal_window(
+            *_aor_coefficients(other, p_l, c_l, p_r, c_r))
+    else:
+        # value = C/P with P the denominator years' publications: C = value*P
+        p_l = sum(pub_count(left, y) for y in denominator_years(spec))
+        p_r = sum(pub_count(right, y) for y in denominator_years(spec))
+        c_l, c_r = int(before_left * p_l), int(before_right * p_r)
+        window = _reversal_window(0, c_l - c_r, c_l * p_r - c_r * p_l)
+    return None if window is None else window[0]
 
 
 def min_reversal_k(left: JournalData, right: JournalData,
@@ -263,21 +265,17 @@ def mine_counterexamples(kind: IndicatorKind, bounds: SearchBounds,
     if limit < 1:
         raise ValueError("limit must be >= 1")
     out: list[ReversalWitness] = []
-    for scenario in _iter_reversing_scenarios(kind, bounds, equal_pubs):
+    if kind is IndicatorKind.SYNC_AOR:
+        scenarios = _iter_aor(bounds, equal_pubs)
+    else:
+        scenarios = _iter_totals_based(kind, bounds, equal_pubs)
+    for scenario in scenarios:
         verdict = check_z_consistency(scenario)
         assert verdict.tag is VerdictTag.REVERSED, "miner candidate failed self-check"
         out.append(ReversalWitness(scenario, verdict))
         if len(out) >= limit:
             break
     return out
-
-
-def _iter_reversing_scenarios(kind: IndicatorKind, bounds: SearchBounds,
-                              equal_pubs: bool) -> Iterator[PairScenario]:
-    if kind is IndicatorKind.SYNC_AOR:
-        yield from _iter_aor(bounds, equal_pubs)
-    else:
-        yield from _iter_totals_based(kind, bounds, equal_pubs)
 
 
 def _vectors_with_sum(length: int, cap: int, lo: int, hi: int
@@ -309,7 +307,7 @@ def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
     reversal with before-ordering left < right requires exactly:
     CL*PR < CR*PL (strict before), CL > CR (the flip direction), and the
     crossover k* = floor((CR*PL - CL*PR) / (CL - CR)) + 1 within k_max,
-    which is :func:`_linear_threshold`.
+    the lower end of the linear :func:`_reversal_window`.
     Those conditions prune whole subtrees without evaluating indicators.
     """
     n = bounds.n
@@ -350,8 +348,9 @@ def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
                 for rc in _vectors_with_sum(len(cit_keys), bounds.cit_max,
                                             cr_lo, cr_hi):
                     cr = sum(rc)
-                    k_star = _linear_threshold(cl * pr - cr * pl, cl - cr)
-                    if k_star is None or k_star > bounds.k_max:
+                    # never None: the bounds above give CL*PR < CR*PL, CL > CR
+                    k_star, _ = _reversal_window(0, cl - cr, cl * pr - cr * pl)
+                    if k_star > bounds.k_max:
                         continue
                     left = journal("L", lp, lc)
                     right = journal("R", rp, rc)
@@ -367,59 +366,43 @@ def _iter_aor(bounds: SearchBounds, equal_pubs: bool
     """Miner for the average-of-ratios kind.
 
     The value is placement-sensitive, so the search enumerates full
-    assignments; per-journal base values and per-year injection deltas
-    are precomputed so the inner loop is pure comparisons.
+    assignments.  For each oriented pair and injection year the
+    reversing k form one interval, the exact :func:`_reversal_window` of
+    the pair's quadratic, so no k is tried that does not reverse.
     """
-    n = bounds.n
+    n, k_max = bounds.n, bounds.k_max
     year = bounds.target_year
     pub_years = tuple(year - i for i in range(n, 0, -1))
     spec = IndicatorSpec(IndicatorKind.SYNC_AOR, n, year)
     pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=n))
     cit_vecs = list(product(range(bounds.cit_max + 1), repeat=n))
 
-    # delta(p, c, k): change in c/p when k uncited publications join year p
-    delta_cache: dict[tuple[int, int, int], Fraction] = {}
-
-    def delta(p: int, c: int, k: int) -> Fraction:
-        key = (p, c, k)
-        d = delta_cache.get(key)
-        if d is None:
-            d = Fraction(c, p + k) - Fraction(c, p)
-            delta_cache[key] = d
-        return d
-
-    def base(pubs_vec, cits_vec) -> Fraction:
-        return Fraction(
-            sum(Fraction(c, p) for p, c in zip(pubs_vec, cits_vec)), n)
+    # per vector: n*value, and per year j the other years' share of it
+    shares = {}
+    for p, c in product(pub_vecs, cit_vecs):
+        rates = [Fraction(cj, pj) for pj, cj in zip(p, c)]
+        total = sum(rates)
+        shares[p, c] = total, [total - rate for rate in rates]
 
     def journal(name: str, pubs_vec, cits_vec) -> JournalData:
         return JournalData(name, dict(zip(pub_years, pubs_vec)),
                            {(year, y): c for y, c in zip(pub_years, cits_vec)})
 
-    base_cache: dict[tuple, Fraction] = {}
-
-    def cached_base(pubs_vec, cits_vec) -> Fraction:
-        key = (pubs_vec, cits_vec)
-        v = base_cache.get(key)
-        if v is None:
-            v = base(pubs_vec, cits_vec)
-            base_cache[key] = v
-        return v
-
-    for lp in pub_vecs:
-        for lc in cit_vecs:
-            vl = cached_base(lp, lc)
-            for rp in ([lp] if equal_pubs else pub_vecs):
-                for rc in cit_vecs:
-                    vr = cached_base(rp, rc)
-                    if not vl < vr:
-                        continue  # canonical orientation: left < right
-                    for j, inj_year in enumerate(pub_years):
-                        for k in range(1, bounds.k_max + 1):
-                            vl_after = vl + delta(lp[j], lc[j], k) / n
-                            vr_after = vr + delta(rp[j], rc[j], k) / n
-                            if vl_after > vr_after:
-                                yield PairScenario(
-                                    journal("L", lp, lc),
-                                    journal("R", rp, rc), spec,
-                                    Injection.single(inj_year, k))
+    for (lp, lc), (total_l, other_l) in shares.items():
+        for rp in ([lp] if equal_pubs else pub_vecs):
+            for rc in cit_vecs:
+                total_r, other_r = shares[rp, rc]
+                if not total_l < total_r:
+                    continue  # canonical orientation: left < right
+                for j, inj_year in enumerate(pub_years):
+                    window = _reversal_window(*_aor_coefficients(
+                        other_l[j] - other_r[j], lp[j], lc[j], rp[j], rc[j]))
+                    if window is None or window[0] > k_max:
+                        continue
+                    lo, hi = window
+                    hi = k_max if hi is None else min(hi, k_max)
+                    left = journal("L", lp, lc)
+                    right = journal("R", rp, rc)
+                    for k in range(lo, hi + 1):
+                        yield PairScenario(left, right, spec,
+                                           Injection.single(inj_year, k))

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .consistency import (
     PairScenario,
@@ -183,20 +183,42 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # a bool or a float is not a count
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def corpus_from_json(text: str, provenance: str = "") -> Corpus:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.msg) from None
+    entries = doc.get("journals", {}) if isinstance(doc, dict) else None
+    if not isinstance(entries, dict):
+        raise ValidationError('expected {"journals": {...}} at the top level')
     journals = {}
-    for journal_id, entry in doc.get("journals", {}).items():
+    for journal_id, entry in entries.items():
+        where = f"journal {journal_id!r}"
         try:
-            pubs = {int(year): count
+            pubs = {_json_int(int(year) if year.isdecimal() else year,
+                              f"{where}: year"):
+                    _json_int(count, f"{where}: pubs")
                     for year, count in entry["pubs"].items()}
-            cits = {(c["citing"], c["cited"]): c["count"]
+            cits = {(_json_int(c["citing"], f"{where}: citing"),
+                     _json_int(c["cited"], f"{where}: cited")):
+                    _json_int(c["count"], f"{where}: count")
                     for c in entry["cits"]}
         except KeyError as exc:
             raise ValidationError(
-                f"journal {journal_id!r}: missing key {exc.args[0]!r}") \
-                from None
-        journals[journal_id] = JournalData(journal_id, pubs, cits)
+                f"{where}: missing key {exc.args[0]!r}") from None
+        except (AttributeError, TypeError):
+            raise ValidationError(
+                f'{where}: expected {{"pubs": {{}}, "cits": []}}') from None
+        try:
+            journals[journal_id] = JournalData(journal_id, pubs, cits)
+        except ValueError as exc:  # a negative count or a backward citation
+            raise ValidationError(str(exc)) from None
     return Corpus(journals, provenance)
 
 

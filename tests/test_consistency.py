@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +26,7 @@ from impactz import (
     min_reversal_k,
     sync_if_roa,
 )
-from impactz.consistency import reversal_threshold
+from impactz.consistency import _reversal_window, reversal_threshold
 
 from conftest import Y
 
@@ -156,6 +157,28 @@ def test_reversal_threshold_aor_skips_exact_tie():
     assert tags == [VerdictTag.TIE_AFTER, VerdictTag.REVERSED,
                     VerdictTag.REVERSED, VerdictTag.TIE_AFTER,
                     VerdictTag.PRESERVED]
+
+
+def test_reversal_window_matches_sign_scan():
+    # every small integer quadratic (or line, a = 0): the window is exactly
+    # the k in 1..200 where Q(k) has the strict sign opposite to Q(0) = c
+    far = 200
+    closed = open_ended = square_disc = 0
+    for a, b, c in product(range(-6, 7), range(-6, 7),
+                           [c for c in range(-6, 7) if c]):
+        opposite = [k for k in range(1, far + 1)
+                    if (a * k * k + b * k + c) * c < 0]
+        window = _reversal_window(a, b, c)
+        if window is None:
+            assert opposite == []
+            continue
+        lo, hi = window
+        assert opposite == list(range(lo, (far if hi is None else hi) + 1))
+        closed += hi is not None
+        open_ended += hi is None
+        disc = b * b - 4 * a * c
+        square_disc += a != 0 and disc > 0 and isqrt(disc) ** 2 == disc
+    assert closed and open_ended and square_disc
 
 
 def _flips(left, right, spec, year, k):
@@ -314,39 +337,66 @@ def test_miner_canonical_orientation():
         assert witness.verdict.before[0] < witness.verdict.before[1]
 
 
-@pytest.mark.parametrize("kind, s, pub_years, cit_keys", [
-    (IndicatorKind.SYNC_ROA, 0, (Y - 2, Y - 1), ((Y, Y - 2), (Y, Y - 1))),
-    (IndicatorKind.DIACHRONOUS, 0, (Y,), ((Y, Y), (Y + 1, Y))),
-    (IndicatorKind.DIACHRONOUS, 1, (Y,), ((Y + 1, Y), (Y + 2, Y))),
-], ids=["sync-roa", "diachronous-s0", "diachronous-s1"])
-def test_miner_matches_naive_enumeration(kind, s, pub_years, cit_keys):
-    # independent oracle: brute-force the same tiny box and compare
-    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=3, target_year=Y,
-                          s=s)
+def _plain_value(kind, pubs_vec, cits_vec):
+    # textbook definitions over the window's own entries
+    if kind is IndicatorKind.SYNC_AOR:
+        return sum(Fraction(c, p) for p, c in zip(pubs_vec, cits_vec)) \
+            / len(pubs_vec)
+    return Fraction(sum(cits_vec), sum(pubs_vec))
+
+
+@pytest.mark.parametrize("kind, s, pub_years, cit_keys, box, equal_pubs", [
+    (IndicatorKind.SYNC_ROA, 0, (Y - 2, Y - 1), ((Y, Y - 2), (Y, Y - 1)),
+     (2, 4, 3), False),
+    (IndicatorKind.DIACHRONOUS, 0, (Y,), ((Y, Y), (Y + 1, Y)),
+     (2, 4, 3), False),
+    (IndicatorKind.DIACHRONOUS, 1, (Y,), ((Y + 1, Y), (Y + 2, Y)),
+     (2, 4, 3), False),
+    # sync-aor reverses inside a window of k; unlike the box above, this
+    # one has windows that close before k_max, exercising both roots
+    (IndicatorKind.SYNC_AOR, 0, (Y - 2, Y - 1), ((Y, Y - 2), (Y, Y - 1)),
+     (3, 4, 5), False),
+    (IndicatorKind.SYNC_AOR, 0, (Y - 2, Y - 1), ((Y, Y - 2), (Y, Y - 1)),
+     (3, 4, 5), True),
+], ids=["sync-roa", "diachronous-s0", "diachronous-s1", "sync-aor",
+        "sync-aor-equal-pubs"])
+def test_miner_matches_naive_enumeration(kind, s, pub_years, cit_keys, box,
+                                         equal_pubs):
+    # independent oracle: brute-force the same tiny box with plain
+    # Fraction arithmetic and compare
+    pub_max, cit_max, k_max = box
+    bounds = SearchBounds(n=2, pub_max=pub_max, cit_max=cit_max,
+                          k_max=k_max, target_year=Y, s=s)
     spec = IndicatorSpec(kind, 2, Y, s)
+    ks = range(1, k_max + 1)
+    vecs = [(p, c)
+            for p in product(range(1, pub_max + 1), repeat=len(pub_years))
+            for c in product(range(cit_max + 1), repeat=len(cit_keys))]
+    before = {v: _plain_value(kind, *v) for v in vecs}
+    after = {(v, j, k): _plain_value(
+                 kind, v[0][:j] + (v[0][j] + k,) + v[0][j + 1:], v[1])
+             for v in vecs for j in range(len(pub_years)) for k in ks}
     expected = []
-    vecs = list(product(range(1, 3), repeat=len(pub_years)))
-    cvecs = list(product(range(5), repeat=len(cit_keys)))
-    for lp in vecs:
-        for lc in cvecs:
-            for rp in vecs:
-                for rc in cvecs:
-                    left = JournalData("L", dict(zip(pub_years, lp)),
-                                       dict(zip(cit_keys, lc)))
-                    right = JournalData("R", dict(zip(pub_years, rp)),
-                                        dict(zip(cit_keys, rc)))
-                    for inj_year in pub_years:
-                        for k in range(1, 4):
-                            scenario = PairScenario(
-                                left, right, spec,
-                                Injection.single(inj_year, k))
-                            verdict = check_z_consistency(scenario)
-                            if (verdict.tag is VerdictTag.REVERSED
-                                    and verdict.before[0] < verdict.before[1]):
-                                expected.append(scenario)
-    mined = mine_counterexamples(kind, bounds, 10**6)
+    closed_windows = 0  # pair-years whose reversing k stop before k_max
+    for lv in vecs:
+        for rv in vecs:
+            if equal_pubs and rv[0] != lv[0] or not before[lv] < before[rv]:
+                continue
+            for j, inj_year in enumerate(pub_years):
+                flips = [k for k in ks if after[lv, j, k] > after[rv, j, k]]
+                closed_windows += bool(flips) and flips[-1] < k_max
+                expected += [PairScenario(
+                    JournalData("L", dict(zip(pub_years, lv[0])),
+                                dict(zip(cit_keys, lv[1]))),
+                    JournalData("R", dict(zip(pub_years, rv[0])),
+                                dict(zip(cit_keys, rv[1]))),
+                    spec, Injection.single(inj_year, k)) for k in flips]
+    mined = mine_counterexamples(kind, bounds, 10**6, equal_pubs=equal_pubs)
     assert expected
     assert [w.scenario for w in mined] == expected
+    if kind is IndicatorKind.SYNC_AOR and not equal_pubs:
+        # with equal publications one root is k = -p, so no window closes
+        assert closed_windows
 
 
 def test_monotone_flip_on_scanned_instances(roa_pair):

@@ -140,6 +140,33 @@ def test_json_missing_key_is_validation_error(path, key):
         corpus_from_json(json.dumps(doc))
 
 
+_J = '{"journals": {"J": %s}}'
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ("[]", ValidationError, "top level"),
+    ('{"journals": []}', ValidationError, "top level"),
+    (_J % "7", ValidationError, "'J'"),
+    (_J % '{"pubs": [], "cits": []}', ValidationError, "'J'"),
+    (_J % '{"pubs": {}, "cits": [5]}', ValidationError, "'J'"),
+    (_J % '{"pubs": {}, "cits": 5}', ValidationError, "'J'"),
+    (_J % '{"pubs": {"1999": "3"}, "cits": []}', ValidationError, "'J'"),
+    (_J % '{"pubs": {"1999": 2.5}, "cits": []}', ValidationError, "'J'"),
+    (_J % '{"pubs": {"199x": 3}, "cits": []}', ValidationError, "'J'"),
+    (_J % '{"pubs": {}, "cits": [{"citing": 2000, "cited": "1999", '
+          '"count": 1}]}', ValidationError, "'J'"),
+    (_J % '{"pubs": {}, "cits": [{"citing": 2000, "cited": 1999, '
+          '"count": true}]}', ValidationError, "'J'"),
+    (_J % '{"pubs": {"1999": -3}, "cits": []}', ValidationError, "negative"),
+    (_J % '{"pubs": {}, "cits": [{"citing": 1998, "cited": 1999, '
+          '"count": 1}]}', ValidationError, "later year"),
+    ('{"journals": {\n  "J": }', ParseError, "line 2"),
+])
+def test_json_wrong_shape_is_rejected(text, error, match):
+    with pytest.raises(error, match=match):
+        corpus_from_json(text)
+
+
 # --- ranking ----------------------------------------------------------------
 
 def test_rank_published_example():
