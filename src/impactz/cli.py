@@ -13,20 +13,9 @@ import json
 import sys
 
 from . import reference
-from .consistency import (
-    InvalidTargetYear,
-    PreconditionViolated,
-    SearchBounds,
-    mine_counterexamples,
-)
+from .consistency import SearchBounds, mine_counterexamples
 from .core import IndicatorKind, IndicatorSpec, ZeroDenominator, compute
-from .corpus import (
-    ParseError,
-    ValidationError,
-    load_corpus,
-    rank,
-    sensitivity_report,
-)
+from .corpus import load_corpus, rank, sensitivity_report
 from .ratio import format_exact, to_decimal
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
@@ -55,7 +44,7 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    parser.add_argument("-n", type=int, required=True, dest="n",
+    parser.add_argument("-n", type=_positive, required=True, dest="n",
                         help="window length in years")
     parser.add_argument("--year", type=int, required=True,
                         help="target year")
@@ -98,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "mine", _cmd_mine,
                      "exhaustively search bounded data for reversals",
                      _add_spec_args, _add_output_args)
-    p.add_argument("--pub-max", type=int, required=True)
-    p.add_argument("--cit-max", type=int, required=True)
+    p.add_argument("--pub-max", type=_positive, required=True)
+    p.add_argument("--cit-max", type=_positive, required=True)
     p.add_argument("--k-max", type=_positive, required=True)
     p.add_argument("--limit", type=_positive, default=10)
 
@@ -131,36 +120,45 @@ def _load(args):
         return load_corpus(pubs_fh, cits_fh)
 
 
+def _warn_skipped(skipped) -> None:
+    for journal_id, reason in skipped:
+        print(f"warning: skipped {journal_id}: {reason}", file=sys.stderr)
+
+
 def _cmd_compute(args, out) -> int:
     corpus = _load(args)
     spec = _spec_from_args(args)
-    rows = []
-    for journal_id in sorted(corpus.journals):
-        exact, decimal = _cell(compute(corpus.journals[journal_id], spec),
-                               args.places)
+    rows, skipped = [], []
+    for journal_id, data in sorted(corpus.journals.items()):
+        try:
+            exact, decimal = _cell(compute(data, spec), args.places)
+        except ZeroDenominator as exc:
+            skipped.append((journal_id, str(exc)))
+            continue
         rows.append({"journal": journal_id, "exact": exact,
                      "decimal": decimal})
     _emit(rows, ["journal", "exact", "decimal"], args.format, out)
+    _warn_skipped(skipped)
     return 0
 
 
 def _cmd_rank(args, out) -> int:
     corpus = _load(args)
-    ranking = rank(corpus, _spec_from_args(args), strict=False)
+    ranking = rank(corpus, _spec_from_args(args))
     rows = []
     for entry in ranking.entries:
         exact, decimal = _cell(entry.value, args.places)
         rows.append({"rank": entry.rank, "journal": entry.journal_id,
                      "exact": exact, "decimal": decimal})
     _emit(rows, ["rank", "journal", "exact", "decimal"], args.format, out)
-    for journal_id, reason in ranking.skipped:
-        print(f"warning: skipped {journal_id}: {reason}", file=sys.stderr)
+    _warn_skipped(ranking.skipped)
     return 0
 
 
 def _cmd_sensitivity(args, out) -> int:
     corpus = _load(args)
-    report = sensitivity_report(corpus, _spec_from_args(args), args.k_max)
+    spec = _spec_from_args(args)
+    report = sensitivity_report(corpus, spec, args.k_max)
     rows = []
     for row in report:
         for year in sorted(row.per_year_min_k):
@@ -169,6 +167,7 @@ def _cmd_sensitivity(args, out) -> int:
                          "year": year,
                          "min_k": "-" if k is None else k})
     _emit(rows, ["upper", "lower", "year", "min_k"], args.format, out)
+    _warn_skipped(rank(corpus, spec).skipped)
     return 0
 
 
@@ -222,9 +221,7 @@ def run(argv: list[str], out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except (ParseError, ValidationError, ZeroDenominator,
-            PreconditionViolated, InvalidTargetYear, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,10 +24,9 @@ from .core import (
     JournalData,
     ZeroDenominator,
     apply_injection,
-    cit_count,
     compute,
     denominator_years,
-    pub_count,
+    window,
 )
 from .ratio import Ratio
 
@@ -159,10 +158,11 @@ def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
     return (lo, hi) if lo <= hi else None
 
 
-def _aor_coefficients(other: Fraction, p_l: int, c_l: int,
-                      p_r: int, c_r: int) -> tuple[int, int, int]:
-    """(a, b, c) of the sync-aor quadratic Q of :func:`reversal_threshold`
-    for ``other`` = a/b and the injection year's entries."""
+def _coefficients(other: Fraction, p_l: int, c_l: int,
+                  p_r: int, c_r: int) -> tuple[int, int, int]:
+    """(a, b, c) of the polynomial Q of :func:`reversal_threshold` for
+    ``other`` = a/b and the counts that k moves; ``other`` = 0 gives the
+    linear Q of the totals-based kinds."""
     a, b = other.numerator, other.denominator
     return (a, a * (p_l + p_r) + b * (c_l - c_r),
             a * p_l * p_r + b * (c_l * p_r - c_r * p_l))
@@ -177,12 +177,14 @@ def reversal_threshold(left: JournalData, right: JournalData,
     Multiplying (left - right) after injecting k by its positive common
     denominator gives an integer polynomial Q(k) with Q(0) != 0; the
     answer is the first k >= 1 where Q's sign is strictly opposite to
-    Q(0)'s.  For the totals-based kinds (value C/P), Q is linear:
-    C_L*(P_R + k) - C_R*(P_L + k).  For sync-aor, with a/b (b > 0) the
-    share of n*(left - right) from the years other than ``year``, Q is
+    Q(0)'s.  For sync-aor, with a/b (b > 0) the share of n*(left - right)
+    from the years other than ``year`` and p, c that year's counts, Q is
     the quadratic a*(p_L + k)*(p_R + k) + b*(c_L*(p_R + k) - c_R*(p_L + k)).
+    The totals-based kinds (value C/P) are the linear case a/b = 0, with
+    p, c the window's total publications and citations.
     """
-    if year not in denominator_years(spec):
+    years, cells = window(spec)
+    if year not in years:
         raise InvalidTargetYear(
             f"year {year} is not a denominator year for "
             f"{spec.kind.value} n={spec.n} at {spec.target_year}")
@@ -192,21 +194,20 @@ def reversal_threshold(left: JournalData, right: JournalData,
         raise PreconditionViolated(
             f"no strict ordering between {left.journal_id} and "
             f"{right.journal_id} before injection")
-    if spec.kind is IndicatorKind.SYNC_AOR:
-        p_l, p_r = pub_count(left, year), pub_count(right, year)
-        c_l = cit_count(left, spec.target_year, year)
-        c_r = cit_count(right, spec.target_year, year)
-        other = (spec.n * (before_left - before_right)
-                 - Fraction(c_l, p_l) + Fraction(c_r, p_r))
-        window = _reversal_window(
-            *_aor_coefficients(other, p_l, c_l, p_r, c_r))
-    else:
-        # value = C/P with P the denominator years' publications: C = value*P
-        p_l = sum(pub_count(left, y) for y in denominator_years(spec))
-        p_r = sum(pub_count(right, y) for y in denominator_years(spec))
-        c_l, c_r = int(before_left * p_l), int(before_right * p_r)
-        window = _reversal_window(0, c_l - c_r, c_l * p_r - c_r * p_l)
-    return None if window is None else window[0]
+    aor = spec.kind is IndicatorKind.SYNC_AOR
+    if aor:
+        # k moves only the injection year's own rate; the sync cells pair
+        # one-to-one with the years
+        j = years.index(year)
+        years, cells = years[j:j + 1], cells[j:j + 1]
+    (p_l, c_l), (p_r, c_r) = (
+        (sum(data.pubs.get(y, 0) for y in years),
+         sum(data.cits.get(cell, 0) for cell in cells))
+        for data in (left, right))
+    other = (spec.n * (before_left - before_right)
+             - Fraction(c_l, p_l) + Fraction(c_r, p_r)) if aor else 0
+    reversing = _reversal_window(*_coefficients(other, p_l, c_l, p_r, c_r))
+    return None if reversing is None else reversing[0]
 
 
 def min_reversal_k(left: JournalData, right: JournalData,
@@ -299,6 +300,11 @@ def _vectors_with_sum(length: int, cap: int, lo: int, hi: int
     yield from rec([], length, 0)
 
 
+def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
+    return JournalData(name, dict(zip(years, pubs_vec)),
+                       dict(zip(cells, cits_vec)))
+
+
 def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
                        equal_pubs: bool) -> Iterator[PairScenario]:
     """Miner for the two totals-driven kinds (sync RoA, diachronous).
@@ -310,29 +316,12 @@ def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
     the lower end of the linear :func:`_reversal_window`.
     Those conditions prune whole subtrees without evaluating indicators.
     """
-    n = bounds.n
-    year = bounds.target_year
-    diachronous = kind is IndicatorKind.DIACHRONOUS
-    if diachronous:
-        # one cohort year in the denominator; citations per citing year
-        pub_years = (year,)
-        cit_keys = tuple((year + bounds.s + i, year) for i in range(n))
-        inj_years = (year,)
-        pub_vecs = [(p,) for p in range(1, bounds.pub_max + 1)]
-    else:
-        pub_years = tuple(year - i for i in range(n, 0, -1))
-        cit_keys = tuple((year, y) for y in pub_years)
-        inj_years = pub_years
-        pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=n))
-    spec = IndicatorSpec(kind, n, year, bounds.s)
-
-    def journal(name: str, pubs_vec, cits_vec) -> JournalData:
-        return JournalData(name, dict(zip(pub_years, pubs_vec)),
-                           dict(zip(cit_keys, cits_vec)))
-
+    spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
+    years, cells = window(spec)
+    pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=len(years)))
     for lp in pub_vecs:
         pl = sum(lp)
-        for lc in product(range(bounds.cit_max + 1), repeat=len(cit_keys)):
+        for lc in product(range(bounds.cit_max + 1), repeat=len(cells)):
             cl = sum(lc)
             if cl == 0:
                 continue  # a zero-citation left can never overtake
@@ -345,16 +334,16 @@ def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
                 cr_hi = cl - 1  # flip needs cr < cl
                 if cr_lo > cr_hi:
                     continue
-                for rc in _vectors_with_sum(len(cit_keys), bounds.cit_max,
+                for rc in _vectors_with_sum(len(cells), bounds.cit_max,
                                             cr_lo, cr_hi):
                     cr = sum(rc)
                     # never None: the bounds above give CL*PR < CR*PL, CL > CR
                     k_star, _ = _reversal_window(0, cl - cr, cl * pr - cr * pl)
                     if k_star > bounds.k_max:
                         continue
-                    left = journal("L", lp, lc)
-                    right = journal("R", rp, rc)
-                    for inj_year in inj_years:
+                    left = _journal("L", years, lp, cells, lc)
+                    right = _journal("R", years, rp, cells, rc)
+                    for inj_year in years:
                         for k in range(k_star, bounds.k_max + 1):
                             yield PairScenario(
                                 left, right, spec,
@@ -371,9 +360,8 @@ def _iter_aor(bounds: SearchBounds, equal_pubs: bool
     the pair's quadratic, so no k is tried that does not reverse.
     """
     n, k_max = bounds.n, bounds.k_max
-    year = bounds.target_year
-    pub_years = tuple(year - i for i in range(n, 0, -1))
-    spec = IndicatorSpec(IndicatorKind.SYNC_AOR, n, year)
+    spec = IndicatorSpec(IndicatorKind.SYNC_AOR, n, bounds.target_year)
+    years, cells = window(spec)
     pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=n))
     cit_vecs = list(product(range(bounds.cit_max + 1), repeat=n))
 
@@ -384,25 +372,21 @@ def _iter_aor(bounds: SearchBounds, equal_pubs: bool
         total = sum(rates)
         shares[p, c] = total, [total - rate for rate in rates]
 
-    def journal(name: str, pubs_vec, cits_vec) -> JournalData:
-        return JournalData(name, dict(zip(pub_years, pubs_vec)),
-                           {(year, y): c for y, c in zip(pub_years, cits_vec)})
-
     for (lp, lc), (total_l, other_l) in shares.items():
         for rp in ([lp] if equal_pubs else pub_vecs):
             for rc in cit_vecs:
                 total_r, other_r = shares[rp, rc]
                 if not total_l < total_r:
                     continue  # canonical orientation: left < right
-                for j, inj_year in enumerate(pub_years):
-                    window = _reversal_window(*_aor_coefficients(
+                for j, inj_year in enumerate(years):
+                    reversing = _reversal_window(*_coefficients(
                         other_l[j] - other_r[j], lp[j], lc[j], rp[j], rc[j]))
-                    if window is None or window[0] > k_max:
+                    if reversing is None or reversing[0] > k_max:
                         continue
-                    lo, hi = window
+                    lo, hi = reversing
                     hi = k_max if hi is None else min(hi, k_max)
-                    left = journal("L", lp, lc)
-                    right = journal("R", rp, rc)
+                    left = _journal("L", years, lp, cells, lc)
+                    right = _journal("R", years, rp, cells, rc)
                     for k in range(lo, hi + 1):
                         yield PairScenario(left, right, spec,
                                            Injection.single(inj_year, k))

@@ -144,21 +144,53 @@ def cit_count(data: JournalData, citing: Year, cited: Year) -> int:
     return data.cits.get((citing, cited), 0)
 
 
+def window(spec: IndicatorSpec
+           ) -> tuple[tuple[Year, ...], tuple[tuple[Year, Year], ...]]:
+    """The cells of the publication-citation matrix an indicator reads.
+
+    Returns the denominator years in ascending order and the (citing,
+    cited) citation cells: for the synchronous kinds the years Y-n..Y-1,
+    each paired with its cell (Y, year); for the diachronous kind the
+    single year Y, cited in Y+s..Y+s+n-1.
+    """
+    year, n = spec.target_year, spec.n
+    if spec.kind is IndicatorKind.DIACHRONOUS:
+        return (year,), tuple((year + spec.s + i, year) for i in range(n))
+    years = tuple(range(year - n, year))
+    return years, tuple((year, y) for y in years)
+
+
+def compute(data: JournalData, spec: IndicatorSpec) -> Ratio:
+    """Evaluate the indicator over its :func:`window`.
+
+    Sync-aor is the mean of the per-year citation rates; the other two
+    kinds are total citations over total publications.
+    """
+    years, cells = window(spec)
+    pubs = [data.pubs.get(y, 0) for y in years]
+    cits = [data.cits.get(cell, 0) for cell in cells]
+    if spec.kind is IndicatorKind.SYNC_ROA:
+        if not any(pubs):
+            raise ZeroDenominator(
+                f"{data.journal_id}: no publications in window "
+                f"{years[0]}..{years[-1]}", journal=data.journal_id)
+    elif not all(pubs):
+        empty = max(y for y, p in zip(years, pubs) if not p)
+        raise ZeroDenominator(
+            f"{data.journal_id}: no publications in year {empty}",
+            year=empty, journal=data.journal_id)
+    if spec.kind is IndicatorKind.SYNC_AOR:
+        return Ratio(sum(map(Fraction, cits, pubs)) / spec.n)
+    return Ratio(sum(cits), sum(pubs))
+
+
 def sync_if_roa(data: JournalData, year: Year, n: int) -> Ratio:
     """Synchronous n-year impact factor, ratio-of-averages form.
 
     Total citations received in ``year`` to the previous n years, divided
     by the total publications of those years.
     """
-    if n < 1:
-        raise ValueError(f"window length must be >= 1, got {n}")
-    cit_total = sum(cit_count(data, year, year - i) for i in range(1, n + 1))
-    pub_total = sum(pub_count(data, year - i) for i in range(1, n + 1))
-    if pub_total == 0:
-        raise ZeroDenominator(
-            f"{data.journal_id}: no publications in window "
-            f"{year - n}..{year - 1}", journal=data.journal_id)
-    return Ratio(cit_total, pub_total)
+    return compute(data, IndicatorSpec(IndicatorKind.SYNC_ROA, n, year))
 
 
 def sync_if_aor(data: JournalData, year: Year, n: int) -> Ratio:
@@ -167,17 +199,7 @@ def sync_if_aor(data: JournalData, year: Year, n: int) -> Ratio:
     Mean of the per-year citation/publication ratios; undefined as soon
     as any single window year has zero publications.
     """
-    if n < 1:
-        raise ValueError(f"window length must be >= 1, got {n}")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        pubs = pub_count(data, year - i)
-        if pubs == 0:
-            raise ZeroDenominator(
-                f"{data.journal_id}: no publications in year {year - i}",
-                year=year - i, journal=data.journal_id)
-        total += Fraction(cit_count(data, year, year - i), pubs)
-    return Ratio(total / n)
+    return compute(data, IndicatorSpec(IndicatorKind.SYNC_AOR, n, year))
 
 
 def diachronous_imp(data: JournalData, year: Year, n: int, s: int = 0) -> Ratio:
@@ -186,18 +208,7 @@ def diachronous_imp(data: JournalData, year: Year, n: int, s: int = 0) -> Ratio:
     Sums citations from years year+s .. year+s+n-1 to publications of
     ``year`` and divides by that year's publication count.
     """
-    if n < 1:
-        raise ValueError(f"window length must be >= 1, got {n}")
-    if s not in (0, 1):
-        raise ValueError(f"s must be 0 or 1, got {s}")
-    pubs = pub_count(data, year)
-    if pubs == 0:
-        raise ZeroDenominator(
-            f"{data.journal_id}: no publications in year {year}",
-            year=year, journal=data.journal_id)
-    cit_total = sum(cit_count(data, year + i, year)
-                    for i in range(s, s + n))
-    return Ratio(cit_total, pubs)
+    return compute(data, IndicatorSpec(IndicatorKind.DIACHRONOUS, n, year, s))
 
 
 def apply_injection(data: JournalData, injection: Injection) -> JournalData:
@@ -211,21 +222,6 @@ def apply_injection(data: JournalData, injection: Injection) -> JournalData:
     return JournalData(data.journal_id, pubs, dict(data.cits))
 
 
-def compute(data: JournalData, spec: IndicatorSpec) -> Ratio:
-    """Dispatch to the kind-specific indicator."""
-    if spec.kind is IndicatorKind.SYNC_ROA:
-        return sync_if_roa(data, spec.target_year, spec.n)
-    if spec.kind is IndicatorKind.SYNC_AOR:
-        return sync_if_aor(data, spec.target_year, spec.n)
-    return diachronous_imp(data, spec.target_year, spec.n, spec.s)
-
-
 def denominator_years(spec: IndicatorSpec) -> tuple[Year, ...]:
-    """Years whose publication counts enter the indicator's denominator.
-
-    Ascending order: the window years Y-n..Y-1 for the synchronous kinds,
-    just Y itself for the diachronous kind.
-    """
-    if spec.kind is IndicatorKind.DIACHRONOUS:
-        return (spec.target_year,)
-    return tuple(spec.target_year - i for i in range(spec.n, 0, -1))
+    """The denominator years, ascending: the first half of :func:`window`."""
+    return window(spec)[0]

@@ -66,7 +66,7 @@ class RankingEntry:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Ranked entries plus journals skipped in non-strict mode."""
+    """Ranked entries plus the journals that could not be evaluated."""
 
     entries: tuple[RankingEntry, ...]
     skipped: tuple[tuple[str, str], ...] = ()  # (journal_id, reason)
@@ -189,26 +189,50 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that keeps its pairs, repeated keys too."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _unique(pairs, where: str, what: str) -> dict:
+    """``dict(pairs)``, with a repeated key a ValidationError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"{where}: duplicate {what} {key!r}")
+        out[key] = value
+    return out
+
+
 def corpus_from_json(text: str, provenance: str = "") -> Corpus:
+    """Build a validated Corpus from :func:`corpus_to_json`'s layout;
+    as in the CSV input, a repeated key is a hard error."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
-    entries = doc.get("journals", {}) if isinstance(doc, dict) else None
+    entries = (doc.get("journals", _JsonObject([]))
+               if isinstance(doc, dict) else None)
     if not isinstance(entries, dict):
         raise ValidationError('expected {"journals": {...}} at the top level')
     journals = {}
-    for journal_id, entry in entries.items():
+    for journal_id, entry in _unique(entries.pairs, "journals",
+                                     "journal id").items():
         where = f"journal {journal_id!r}"
         try:
-            pubs = {_json_int(int(year) if year.isdecimal() else year,
-                              f"{where}: year"):
-                    _json_int(count, f"{where}: pubs")
-                    for year, count in entry["pubs"].items()}
-            cits = {(_json_int(c["citing"], f"{where}: citing"),
-                     _json_int(c["cited"], f"{where}: cited")):
-                    _json_int(c["count"], f"{where}: count")
-                    for c in entry["cits"]}
+            pub_pairs = [(_json_int(int(year) if year.isdecimal() else year,
+                                    f"{where}: year"),
+                          _json_int(count, f"{where}: pubs"))
+                         for year, count in entry["pubs"].pairs]
+            cit_pairs = [((_json_int(c["citing"], f"{where}: citing"),
+                           _json_int(c["cited"], f"{where}: cited")),
+                          _json_int(c["count"], f"{where}: count"))
+                         for c in entry["cits"]]
+            pubs = _unique(pub_pairs, where, "publication year")
+            cits = _unique(cit_pairs, where, "citation")
         except KeyError as exc:
             raise ValidationError(
                 f"{where}: missing key {exc.args[0]!r}") from None
@@ -222,13 +246,12 @@ def corpus_from_json(text: str, provenance: str = "") -> Corpus:
     return Corpus(journals, provenance)
 
 
-def rank(corpus: Corpus, spec: IndicatorSpec, *, strict: bool = True
-         ) -> Ranking:
+def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
     """Rank journals by indicator value, descending, competition style.
 
     Equal values share a rank (1, 1, 3); within a tie, display order is
-    lexicographic by journal id.  In strict mode an uncomputable journal
-    raises; otherwise it is skipped and reported.
+    lexicographic by journal id.  An uncomputable journal is skipped and
+    reported with its reason.
     """
     values: list[tuple[str, Ratio]] = []
     skipped: list[tuple[str, str]] = []
@@ -237,8 +260,6 @@ def rank(corpus: Corpus, spec: IndicatorSpec, *, strict: bool = True
             values.append((journal_id, compute(corpus.journals[journal_id],
                                                spec)))
         except ZeroDenominator as exc:
-            if strict:
-                raise
             skipped.append((journal_id, str(exc)))
     values.sort(key=lambda item: item[1], reverse=True)
 
@@ -256,8 +277,9 @@ def rank(corpus: Corpus, spec: IndicatorSpec, *, strict: bool = True
 
 def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
                        ) -> list[SensitivityRow]:
-    """Per adjacent strictly-ordered pair, the minimal common uncited
-    injection (by denominator year) that would flip the ranking.
+    """Per adjacent strictly-ordered pair of :func:`rank`, the minimal
+    common uncited injection (by denominator year) that would flip the
+    ranking.  Journals that rank skips are not covered.
 
     Every reported minimum k is re-verified as an actual reversal, and
     k - 1 as not one.

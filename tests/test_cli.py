@@ -119,6 +119,10 @@ def test_unknown_command_is_usage_error():
     ("mine", "--limit", "-1"),
     ("compute", "--places", "-1"),
     ("sensitivity", "--places", "-1"),
+    ("rank", "-n", "0"),
+    ("mine", "-n", "0"),
+    ("mine", "--pub-max", "0"),
+    ("mine", "--cit-max", "0"),
 ])
 def test_out_of_range_flag_is_usage_error(table_1a_files, command, flag,
                                           value):
@@ -131,6 +135,23 @@ def test_out_of_range_flag_is_usage_error(table_1a_files, command, flag,
     code, out = invoke(argv + [flag, value])
     assert code == 2
     assert out == ""
+
+
+def test_uncomputable_journal_is_skipped_alike(tmp_path, capsys):
+    # C has publications only outside the 1998..1999 window
+    pubs = tmp_path / "pubs.csv"
+    cits = tmp_path / "cits.csv"
+    pubs.write_text(PUBS_1A + f"C,{Y - 5},10\n")
+    cits.write_text(CITS_1A)
+    for command in ("compute", "rank", "sensitivity"):
+        code, out = invoke([command, "--pubs", str(pubs), "--cits",
+                            str(cits), "--kind", "sync-roa", "-n", "2",
+                            "--year", str(Y)])
+        assert code == 0, command
+        assert "C" not in out.split(), command
+        assert capsys.readouterr().err == (
+            f"warning: skipped C: C: no publications in window "
+            f"{Y - 2}..{Y - 1}\n"), command
 
 
 def test_bad_data_is_exit_one(tmp_path):

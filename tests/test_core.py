@@ -203,6 +203,31 @@ def test_denominator_years():
         IndicatorSpec(IndicatorKind.DIACHRONOUS, 3, Y)) == (Y,)
 
 
+@pytest.mark.parametrize("kind, evaluate, message, year", [
+    (IndicatorKind.SYNC_ROA, sync_if_roa,
+     f"X: no publications in window {Y - 2}..{Y - 1}", None),
+    # both window years are empty: the later one is reported
+    (IndicatorKind.SYNC_AOR, sync_if_aor,
+     f"X: no publications in year {Y - 1}", Y - 1),
+    (IndicatorKind.DIACHRONOUS, diachronous_imp,
+     f"X: no publications in year {Y}", Y),
+])
+def test_indicator_errors_per_kind(kind, evaluate, message, year):
+    data = JournalData("X", {Y - 5: 4}, {(Y, Y - 5): 2})
+    for call in (lambda: compute(data, IndicatorSpec(kind, 2, Y)),
+                 lambda: evaluate(data, Y, 2)):
+        with pytest.raises(ZeroDenominator) as exc_info:
+            call()
+        assert str(exc_info.value) == message
+        assert exc_info.value.year == year
+        assert exc_info.value.journal == "X"
+    with pytest.raises(ValueError, match="window length must be >= 1"):
+        evaluate(data, Y, 0)
+    if kind is IndicatorKind.DIACHRONOUS:
+        with pytest.raises(ValueError, match="s must be 0 or 1"):
+            evaluate(data, Y, 2, 2)
+
+
 # --- properties ----------------------------------------------------------
 
 window_data = st.builds(

@@ -11,7 +11,6 @@ from impactz import (
     ParseError,
     Ratio,
     ValidationError,
-    ZeroDenominator,
     corpus_from_json,
     corpus_to_json,
     load_corpus,
@@ -161,6 +160,14 @@ _J = '{"journals": {"J": %s}}'
     (_J % '{"pubs": {}, "cits": [{"citing": 1998, "cited": 1999, '
           '"count": 1}]}', ValidationError, "later year"),
     ('{"journals": {\n  "J": }', ParseError, "line 2"),
+    (_J % '{"pubs": {"1999": 3, "1999": 5}, "cits": []}', ValidationError,
+     "'J': duplicate publication year 1999"),
+    (_J % '{"pubs": {}, "cits": [{"citing": 2000, "cited": 1999, '
+          '"count": 1}, {"citing": 2000, "cited": 1999, "count": 5}]}',
+     ValidationError, r"'J': duplicate citation \(2000, 1999\)"),
+    ('{"journals": {"J": {"pubs": {}, "cits": []}, '
+     '"J": {"pubs": {}, "cits": []}}}', ValidationError,
+     "duplicate journal id 'J'"),
 ])
 def test_json_wrong_shape_is_rejected(text, error, match):
     with pytest.raises(error, match=match):
@@ -195,13 +202,11 @@ def test_competition_ranking_for_ties():
     assert ranking.entries[1].tied_with == ("A",)
 
 
-def test_rank_strict_mode_raises():
+def test_rank_skips_uncomputable_journals():
     pubs = "journal,year,pubs\nA,1999,10\nB,1997,3\n"
     cits = "journal,citing_year,cited_year,count\n"
     corpus = load_corpus(pubs, cits)
-    with pytest.raises(ZeroDenominator):
-        rank(corpus, AOR2)
-    ranking = rank(corpus, AOR2, strict=False)
+    ranking = rank(corpus, AOR2)
     assert [e.journal_id for e in ranking.entries] == []
     assert {journal for journal, _ in ranking.skipped} == {"A", "B"}
 
