@@ -15,7 +15,7 @@ import sys
 from . import reference
 from .consistency import SearchBounds, mine_counterexamples
 from .core import IndicatorKind, IndicatorSpec, ZeroDenominator, compute
-from .corpus import load_corpus, rank, sensitivity_report
+from .corpus import _sensitivity_rows, load_corpus, rank
 from .ratio import format_exact, to_decimal
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
@@ -158,7 +158,8 @@ def _cmd_rank(args, out) -> int:
 def _cmd_sensitivity(args, out) -> int:
     corpus = _load(args)
     spec = _spec_from_args(args)
-    report = sensitivity_report(corpus, spec, args.k_max)
+    ranking = rank(corpus, spec)
+    report = _sensitivity_rows(corpus, spec, ranking, args.k_max)
     rows = []
     for row in report:
         for year in sorted(row.per_year_min_k):
@@ -167,7 +168,7 @@ def _cmd_sensitivity(args, out) -> int:
                          "year": year,
                          "min_k": "-" if k is None else k})
     _emit(rows, ["upper", "lower", "year", "min_k"], args.format, out)
-    _warn_skipped(rank(corpus, spec).skipped)
+    _warn_skipped(ranking.skipped)
     return 0
 
 

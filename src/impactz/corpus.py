@@ -16,6 +16,8 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .consistency import (
     PairScenario,
@@ -35,8 +37,11 @@ from .ratio import Ratio
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    """Unreadable input text; ``line`` is None where the reader gives no
+    position."""
+
+    def __init__(self, line: int | None, reason: str):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
         self.line = line
         self.reason = reason
 
@@ -96,7 +101,7 @@ def _read_rows(source, expected_header: list[str]):
             text = fh.read()
     else:
         text = source
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     header = next(reader, None)
     if header is None:
         return
@@ -110,6 +115,16 @@ def _read_rows(source, expected_header: list[str]):
             raise ParseError(line, f"expected {len(expected_header)} fields, "
                                    f"got {len(row)}")
         yield line, [cell.strip() for cell in row]
+
+
+def _csv_rows(text: str):
+    """``csv.reader`` rows; a csv.Error, such as a field over
+    ``csv.field_size_limit()``, is a ParseError at the reader's line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
 
 
 def _int_field(line: int, name: str, raw: str) -> int:
@@ -214,8 +229,11 @@ def corpus_from_json(text: str, provenance: str = "") -> Corpus:
         doc = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
-    entries = (doc.get("journals", _JsonObject([]))
-               if isinstance(doc, dict) else None)
+    except RecursionError:
+        raise ParseError(None, "JSON nested too deeply") from None
+    except ValueError as exc:  # an integer over sys.get_int_max_str_digits()
+        raise ParseError(None, str(exc)) from None
+    entries = doc.get("journals") if isinstance(doc, dict) else None
     if not isinstance(entries, dict):
         raise ValidationError('expected {"journals": {...}} at the top level')
     journals = {}
@@ -252,6 +270,12 @@ def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
     Equal values share a rank (1, 1, 3); within a tie, display order is
     lexicographic by journal id.  An uncomputable journal is skipped and
     reported with its reason.
+
+    After the sort, equal neighbours are grouped once by exact ``Ratio``
+    equality: a group starting at index i has rank i + 1, and each member
+    is ``tied_with`` the group's other ids, in display order.  The cost
+    is O(N log N) plus the sum of squared group sizes, which is the size
+    of the ``tied_with`` output itself.
     """
     values: list[tuple[str, Ratio]] = []
     skipped: list[tuple[str, str]] = []
@@ -264,14 +288,13 @@ def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
     values.sort(key=lambda item: item[1], reverse=True)
 
     entries: list[RankingEntry] = []
-    for index, (journal_id, value) in enumerate(values):
-        if entries and value == entries[-1].value:
-            current_rank = entries[-1].rank
-        else:
-            current_rank = index + 1
-        tied = tuple(other for other, v in values
-                     if v == value and other != journal_id)
-        entries.append(RankingEntry(journal_id, value, current_rank, tied))
+    for value, group in groupby(values, key=itemgetter(1)):
+        ids = [journal_id for journal_id, _ in group]
+        current_rank = len(entries) + 1
+        entries.extend(
+            RankingEntry(journal_id, value, current_rank,
+                         tuple(other for other in ids if other != journal_id))
+            for journal_id in ids)
     return Ranking(tuple(entries), tuple(skipped))
 
 
@@ -284,7 +307,13 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
     Every reported minimum k is re-verified as an actual reversal, and
     k - 1 as not one.
     """
-    ranking = rank(corpus, spec)
+    return _sensitivity_rows(corpus, spec, rank(corpus, spec), k_max)
+
+
+def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
+                      k_max: int) -> list[SensitivityRow]:
+    """:func:`sensitivity_report` over ``ranking``, which the caller has
+    computed as ``rank(corpus, spec)``."""
     rows: list[SensitivityRow] = []
     for upper, lower in zip(ranking.entries, ranking.entries[1:]):
         if upper.value == lower.value:

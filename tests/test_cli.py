@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from impactz import cli, rank
 from impactz.cli import run
 
 from conftest import Y
@@ -152,6 +153,32 @@ def test_uncomputable_journal_is_skipped_alike(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"warning: skipped C: C: no publications in window "
             f"{Y - 2}..{Y - 1}\n"), command
+
+
+def test_sensitivity_ranks_once(table_1a_files, monkeypatch):
+    calls = []
+
+    def counting_rank(corpus, spec):
+        calls.append(spec)
+        return rank(corpus, spec)
+
+    monkeypatch.setattr(cli, "rank", counting_rank)
+    pubs, cits = table_1a_files
+    code, out = invoke(["sensitivity", "--pubs", pubs, "--cits", cits,
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
+def test_oversized_csv_field_is_exit_one(tmp_path, capsys):
+    pubs = tmp_path / "pubs.csv"
+    cits = tmp_path / "cits.csv"
+    pubs.write_text("journal,year,pubs\nJ,1999," + "1" * 131_073 + "\n")
+    cits.write_text("journal,citing_year,cited_year,count\n")
+    code, _ = invoke(["rank", "--pubs", str(pubs), "--cits", str(cits),
+                      "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 2: field larger")
 
 
 def test_bad_data_is_exit_one(tmp_path):

@@ -1,7 +1,11 @@
+import io
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from impactz import (
     Corpus,
@@ -103,6 +107,9 @@ def test_malformed_rows_raise_parse_error():
                     "journal,citing_year,cited_year,count\n")
     with pytest.raises(ParseError, match="header"):
         load_corpus("journal,pubs\n", "journal,citing_year,cited_year,count\n")
+    with pytest.raises(ParseError, match="line 3: field larger"):
+        load_corpus("journal,year,pubs\nJ,1999,10\nJ," + "1" * 131_073
+                    + ",3\n", "journal,citing_year,cited_year,count\n")
 
 
 # --- JSON round-trip --------------------------------------------------------
@@ -113,6 +120,12 @@ def test_json_round_trip_identical():
     reloaded = corpus_from_json(text)
     assert reloaded.journals == corpus.journals
     assert corpus_to_json(reloaded) == text  # byte-stable
+
+
+def test_json_empty_corpus_round_trip():
+    text = corpus_to_json(Corpus({}))
+    assert json.loads(text) == {"journals": {}}
+    assert corpus_from_json(text).journals == {}
 
 
 def test_json_keys_sorted():
@@ -144,6 +157,12 @@ _J = '{"journals": {"J": %s}}'
 
 @pytest.mark.parametrize("text, error, match", [
     ("[]", ValidationError, "top level"),
+    ("{}", ValidationError, "top level"),
+    ('{"journal": {"J": {"pubs": {}, "cits": []}}}', ValidationError,
+     "top level"),
+    pytest.param("[" * 100_000, ParseError, "nested too deeply",
+                 id="deep-nesting"),
+    pytest.param("1" * 5_000, ParseError, "integer", id="long-integer"),
     ('{"journals": []}', ValidationError, "top level"),
     (_J % "7", ValidationError, "'J'"),
     (_J % '{"pubs": [], "cits": []}', ValidationError, "'J'"),
@@ -172,6 +191,64 @@ _J = '{"journals": {"J": %s}}'
 def test_json_wrong_shape_is_rejected(text, error, match):
     with pytest.raises(error, match=match):
         corpus_from_json(text)
+
+
+def _csv_text(header: str) -> st.SearchStrategy[str]:
+    """Any text, or the header then rows of integers, ids, quotes, commas
+    and line breaks."""
+    cell = st.one_of(st.integers(-3, 3000).map(str),
+                     st.text(alphabet="J\"', \r\n-0", max_size=4))
+    row = st.lists(cell, max_size=5).map(",".join)
+    body = st.lists(row, max_size=6).map("\n".join)
+    return st.one_of(st.text(), body.map(lambda b: f"{header}\n{b}"))
+
+
+_PUBS_HEADER = "journal,year,pubs"
+_CITS_HEADER = "journal,citing_year,cited_year,count"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_text(_PUBS_HEADER), _csv_text(_CITS_HEADER))
+@example(f"{_PUBS_HEADER}\nJ," + "1" * 131_073 + ",3\n", "")
+@example("", f"{_CITS_HEADER}\nJ,2000,1999," + "9" * 5_000 + "\n")
+def test_load_corpus_fuzz_raises_only_input_errors(pubs, cits):
+    try:
+        corpus = load_corpus(io.StringIO(pubs), io.StringIO(cits))
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(corpus, Corpus)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 3000) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12)
+_json_entries = st.fixed_dictionaries({
+    "pubs": st.dictionaries(st.sampled_from(["1998", "1999", "x"]),
+                            _json_values, max_size=2),
+    "cits": st.lists(st.fixed_dictionaries(
+        {"citing": _json_values, "cited": _json_values,
+         "count": _json_values}), max_size=2)}) | _json_values
+_json_text = st.one_of(
+    st.text(),
+    _json_values.map(json.dumps),
+    st.dictionaries(st.text(max_size=3), _json_entries, max_size=3).map(
+        lambda journals: json.dumps({"journals": journals})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_text)
+@example("[" * 100_000)
+@example("1" * 5_000)
+@example("{}")
+def test_corpus_from_json_fuzz_raises_only_input_errors(text):
+    try:
+        corpus = corpus_from_json(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(corpus, Corpus)
 
 
 # --- ranking ----------------------------------------------------------------
@@ -222,6 +299,54 @@ def test_rank_permutation_invariance():
         shuffled = rank(load_corpus("\n".join(shuffled_pubs),
                                     "\n".join(shuffled_cits)), ROA2)
         assert shuffled == base
+
+
+def _rank_oracle(corpus: Corpus):
+    """``rank`` for ROA2 from the definitions, with plain Fractions:
+    (id, value, 1 + number of strictly greater values, other ids with an
+    equal value) in display order, and the skipped ids."""
+    values, skipped = {}, []
+    for journal_id, data in sorted(corpus.journals.items()):
+        p = data.pubs.get(Y - 1, 0) + data.pubs.get(Y - 2, 0)
+        c = data.cits.get((Y, Y - 1), 0) + data.cits.get((Y, Y - 2), 0)
+        if p:
+            values[journal_id] = Fraction(c, p)
+        else:
+            skipped.append(journal_id)
+    order = sorted(values, key=lambda j: (-values[j], j))
+    entries = [(j, values[j], 1 + sum(v > values[j] for v in values.values()),
+                tuple(o for o in order if o != j and values[o] == values[j]))
+               for j in order]
+    return entries, skipped
+
+
+def test_rank_matches_definition_oracle():
+    # values c / (p1 + p2) from a handful of small integers, so tie groups
+    # are common; p1 = p2 = 0 makes a journal uncomputable
+    largest_group = []
+    any_skipped = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.text(alphabet="ABab'", min_size=1, max_size=3),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 4)),
+        max_size=25))
+    def check(cells):
+        corpus = Corpus({
+            j: JournalData(j, {Y - 1: p1, Y - 2: p2}, {(Y, Y - 1): c})
+            for j, (p1, p2, c) in cells.items()})
+        ranking = rank(corpus, ROA2)
+        entries, skipped = _rank_oracle(corpus)
+        assert [(e.journal_id, e.value, e.rank, e.tied_with)
+                for e in ranking.entries] == entries
+        assert [j for j, _ in ranking.skipped] == skipped
+        largest_group.append(max(
+            Counter(v for _, v, _, _ in entries).values(), default=0))
+        any_skipped.append(bool(skipped))
+
+    check()
+    assert max(largest_group) >= 3
+    assert any(any_skipped)
 
 
 # --- sensitivity ------------------------------------------------------------
