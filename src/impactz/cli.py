@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import reference
-from .consistency import SearchBounds, mine_counterexamples
+from .consistency import SearchBounds, iter_counterexamples
 from .core import IndicatorKind, IndicatorSpec, ZeroDenominator, compute
 from .corpus import _sensitivity_rows, load_corpus, rank
 from .ratio import format_exact, to_decimal
@@ -105,10 +106,16 @@ def _cell(value, places: int) -> tuple[str, str]:
     return format_exact(value), to_decimal(value, places)
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
+def _emit(rows, columns: list[str], fmt: str, out) -> None:
+    """Write each row of the iterable as soon as it arrives.  JSON output
+    is byte-identical to ``json.dump(list(rows), out, indent=2)`` and a
+    newline; the array framing is written here, one row at a time."""
     if fmt == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
+        sep = "[\n  "
+        for row in rows:
+            out.write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
+        out.write("[]\n" if sep == "[\n  " else "\n]\n")
     else:
         for row in rows:
             out.write("\t".join(str(row[col]) for col in columns) + "\n")
@@ -176,29 +183,34 @@ def _cmd_mine(args, out) -> int:
     bounds = SearchBounds(n=args.n, pub_max=args.pub_max,
                           cit_max=args.cit_max, k_max=args.k_max,
                           target_year=args.year, s=args.s)
-    witnesses = mine_counterexamples(_KINDS[args.kind], bounds, args.limit)
-    rows = []
-    for witness in witnesses:
-        scenario = witness.scenario
-        verdict = witness.verdict
-        (year, k), = scenario.injection.additions
-        rows.append({
-            "left_pubs": json.dumps(scenario.left.pubs, sort_keys=True),
-            "left_cits": json.dumps(
-                {f"{c},{d}": v for (c, d), v in sorted(scenario.left.cits.items())}),
-            "right_pubs": json.dumps(scenario.right.pubs, sort_keys=True),
-            "right_cits": json.dumps(
-                {f"{c},{d}": v for (c, d), v in sorted(scenario.right.cits.items())}),
-            "inject_year": year,
-            "k": k,
-            "before": f"{format_exact(verdict.before[0])} vs "
-                      f"{format_exact(verdict.before[1])}",
-            "after": f"{format_exact(verdict.after[0])} vs "
-                     f"{format_exact(verdict.after[1])}",
-        })
-    _emit(rows, ["left_pubs", "left_cits", "right_pubs", "right_cits",
-                 "inject_year", "k", "before", "after"], args.format, out)
+    witnesses = islice(iter_counterexamples(_KINDS[args.kind], bounds),
+                       args.limit)
+    _emit(_mine_rows(witnesses), ["left_pubs", "left_cits", "right_pubs",
+                                  "right_cits", "inject_year", "k", "before",
+                                  "after"], args.format, out)
     return 0
+
+
+def _mine_rows(witnesses):
+    """One row per witness; the journal columns are formatted once per
+    (left, right) pair, which the miner shares across its witnesses."""
+    left = right = journals = None
+    for witness in witnesses:
+        scenario, verdict = witness.scenario, witness.verdict
+        if scenario.left is not left or scenario.right is not right:
+            left, right = scenario.left, scenario.right
+            journals = {}
+            for side, data in (("left", left), ("right", right)):
+                journals[f"{side}_pubs"] = json.dumps(data.pubs,
+                                                      sort_keys=True)
+                journals[f"{side}_cits"] = json.dumps(
+                    {f"{c},{d}": v for (c, d), v in sorted(data.cits.items())})
+        (year, k), = scenario.injection.additions
+        yield {**journals, "inject_year": year, "k": k,
+               "before": f"{format_exact(verdict.before[0])} vs "
+                         f"{format_exact(verdict.before[1])}",
+               "after": f"{format_exact(verdict.after[0])} vs "
+                        f"{format_exact(verdict.after[1])}"}
 
 
 def _cmd_verify_paper(args, out) -> int:

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
-from itertools import product
+from itertools import islice, product
 from math import isqrt
+from operator import add
 from typing import Iterator
 
 from .core import (
@@ -23,7 +24,7 @@ from .core import (
     Injection,
     JournalData,
     ZeroDenominator,
-    apply_injection,
+    _evaluate,
     compute,
     denominator_years,
     window,
@@ -99,25 +100,31 @@ class SearchBounds:
             raise ValueError("all bounds must be >= 1")
 
 
-def _evaluate(data: JournalData, spec: IndicatorSpec, phase: str) -> Ratio:
-    try:
-        return compute(data, spec)
-    except ZeroDenominator as exc:
-        raise ZeroDenominator(
-            f"{exc} ({phase} injection)", year=exc.year,
-            journal=data.journal_id) from exc
-
-
 def check_z_consistency(scenario: PairScenario) -> Verdict:
     """Decide whether the injection preserves, ties, or reverses the
-    pair's ordering.  Comparisons are exact; there is no tolerance."""
+    pair's ordering.  Comparisons are exact; there is no tolerance.
+
+    Both journals' window counts are read once; "after" evaluates the
+    same counts with the injection's publications added per year.
+    """
     spec = scenario.spec
-    before = (_evaluate(scenario.left, spec, "before"),
-              _evaluate(scenario.right, spec, "before"))
-    after = (_evaluate(apply_injection(scenario.left, scenario.injection),
-                       spec, "after"),
-             _evaluate(apply_injection(scenario.right, scenario.injection),
-                       spec, "after"))
+    years, cells = window(spec)
+    added = scenario.injection.per_year()
+    counts = [(data.journal_id, [data.pubs.get(y, 0) for y in years],
+               [data.cits.get(cell, 0) for cell in cells])
+              for data in (scenario.left, scenario.right)]
+    values = []
+    for phase, extra in (("before", [0] * len(years)),
+                         ("after", [added.get(y, 0) for y in years])):
+        for journal_id, pubs, cits in counts:
+            try:
+                values.append(_evaluate(journal_id, spec, years,
+                                        list(map(add, pubs, extra)), cits))
+            except ZeroDenominator as exc:
+                raise ZeroDenominator(
+                    f"{exc} ({phase} injection)", year=exc.year,
+                    journal=journal_id) from exc
+    before, after = (values[0], values[1]), (values[2], values[3])
     if before[0] == before[1]:
         tag = VerdictTag.TIE_BEFORE
     elif after[0] == after[1]:
@@ -254,18 +261,27 @@ def equal_pubs_preserved(left: JournalData, right: JournalData,
 def mine_counterexamples(kind: IndicatorKind, bounds: SearchBounds,
                          limit: int, *,
                          equal_pubs: bool = False) -> list[ReversalWitness]:
+    """The first ``limit`` witnesses of :func:`iter_counterexamples`."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    return list(islice(iter_counterexamples(kind, bounds,
+                                            equal_pubs=equal_pubs), limit))
+
+
+def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
+                         equal_pubs: bool = False
+                         ) -> Iterator[ReversalWitness]:
     """Exhaustively enumerate integer publication/citation assignments
-    within ``bounds`` and return up to ``limit`` reversal witnesses.
+    within ``bounds`` and yield every reversal witness, one at a time.
 
     Output order is canonical: lexicographic over (left pubs, left cits,
     right pubs, right cits, injection year, k), with vectors indexed by
     ascending year.  Mirrored duplicates are pruned by only emitting
     scenarios whose before-ordering is left < right.  Every witness is
-    re-verified through :func:`check_z_consistency` before it is emitted.
+    re-verified through :func:`check_z_consistency` before it is yielded.
+    The witnesses of one (left, right) pair share the same two
+    ``JournalData`` objects.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    out: list[ReversalWitness] = []
     if kind is IndicatorKind.SYNC_AOR:
         scenarios = _iter_aor(bounds, equal_pubs)
     else:
@@ -273,10 +289,7 @@ def mine_counterexamples(kind: IndicatorKind, bounds: SearchBounds,
     for scenario in scenarios:
         verdict = check_z_consistency(scenario)
         assert verdict.tag is VerdictTag.REVERSED, "miner candidate failed self-check"
-        out.append(ReversalWitness(scenario, verdict))
-        if len(out) >= limit:
-            break
-    return out
+        yield ReversalWitness(scenario, verdict)
 
 
 def _vectors_with_sum(length: int, cap: int, lo: int, hi: int
@@ -378,6 +391,7 @@ def _iter_aor(bounds: SearchBounds, equal_pubs: bool
                 total_r, other_r = shares[rp, rc]
                 if not total_l < total_r:
                     continue  # canonical orientation: left < right
+                pair = None
                 for j, inj_year in enumerate(years):
                     reversing = _reversal_window(*_coefficients(
                         other_l[j] - other_r[j], lp[j], lc[j], rp[j], rc[j]))
@@ -385,8 +399,10 @@ def _iter_aor(bounds: SearchBounds, equal_pubs: bool
                         continue
                     lo, hi = reversing
                     hi = k_max if hi is None else min(hi, k_max)
-                    left = _journal("L", years, lp, cells, lc)
-                    right = _journal("R", years, rp, cells, rc)
+                    if pair is None:
+                        pair = (_journal("L", years, lp, cells, lc),
+                                _journal("R", years, rp, cells, rc))
+                    left, right = pair
                     for k in range(lo, hi + 1):
                         yield PairScenario(left, right, spec,
                                            Injection.single(inj_year, k))

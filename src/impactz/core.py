@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping
 
 from .ratio import Ratio
@@ -161,26 +161,36 @@ def window(spec: IndicatorSpec
 
 
 def compute(data: JournalData, spec: IndicatorSpec) -> Ratio:
-    """Evaluate the indicator over its :func:`window`.
-
-    Sync-aor is the mean of the per-year citation rates; the other two
-    kinds are total citations over total publications.
-    """
+    """Evaluate the indicator over its :func:`window`."""
     years, cells = window(spec)
-    pubs = [data.pubs.get(y, 0) for y in years]
-    cits = [data.cits.get(cell, 0) for cell in cells]
+    return _evaluate(data.journal_id, spec, years,
+                     [data.pubs.get(y, 0) for y in years],
+                     [data.cits.get(cell, 0) for cell in cells])
+
+
+def _evaluate(journal_id: str, spec: IndicatorSpec, years: tuple[Year, ...],
+              pubs: list[int], cits: list[int]) -> Ratio:
+    """The indicator from the window's counts: ``pubs`` per denominator
+    year and ``cits`` per citation cell, both in :func:`window` order.
+
+    Sync-aor is the mean of the per-year citation rates, summed over one
+    common denominator; the other two kinds are total citations over
+    total publications.
+    """
     if spec.kind is IndicatorKind.SYNC_ROA:
         if not any(pubs):
             raise ZeroDenominator(
-                f"{data.journal_id}: no publications in window "
-                f"{years[0]}..{years[-1]}", journal=data.journal_id)
+                f"{journal_id}: no publications in window "
+                f"{years[0]}..{years[-1]}", journal=journal_id)
     elif not all(pubs):
         empty = max(y for y, p in zip(years, pubs) if not p)
         raise ZeroDenominator(
-            f"{data.journal_id}: no publications in year {empty}",
-            year=empty, journal=data.journal_id)
+            f"{journal_id}: no publications in year {empty}",
+            year=empty, journal=journal_id)
     if spec.kind is IndicatorKind.SYNC_AOR:
-        return Ratio(sum(map(Fraction, cits, pubs)) / spec.n)
+        common = prod(pubs)
+        return Ratio(sum(c * (common // p) for c, p in zip(cits, pubs)),
+                     spec.n * common)
     return Ratio(sum(cits), sum(pubs))
 
 

@@ -93,10 +93,11 @@ class SensitivityRow:
 
 
 def _read_rows(source, expected_header: list[str]):
-    """Yield (line_number, row) from a path, file object, or CSV text."""
+    """Yield (line_number, row) from a file object, an ``os.PathLike``
+    path, or a ``str`` of CSV text (a ``str`` is never a path)."""
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+    elif isinstance(source, os.PathLike):
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -138,7 +139,9 @@ def _int_field(line: int, name: str, raw: str) -> int:
 def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
     """Build a validated Corpus from publication and citation CSVs.
 
-    Journals present in only one file get zero counts for the other side.
+    Each source is a file object, an ``os.PathLike`` path, or a ``str``
+    of CSV text; a ``str`` is never opened as a path.  Journals present
+    in only one file get zero counts for the other side.
     """
     pubs: dict[str, dict[int, int]] = {}
     for line, (journal, year_raw, count_raw) in _read_rows(

@@ -1,9 +1,20 @@
 import io
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from impactz import cli, rank
+from impactz import (
+    IndicatorKind,
+    SearchBounds,
+    cli,
+    format_exact,
+    mine_counterexamples,
+    rank,
+)
 from impactz.cli import run
 
 from conftest import Y
@@ -203,3 +214,188 @@ def test_error_diagnostics_have_stable_prefix(tmp_path, capsys):
             "--cits", str(tmp_path / "nope2.csv"),
             "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
     assert capsys.readouterr().err.startswith("error:")
+
+
+# --- streamed mine output ----------------------------------------------------
+
+_MINE_COLUMNS = ["left_pubs", "left_cits", "right_pubs", "right_cits",
+                 "inject_year", "k", "before", "after"]
+
+
+def _mine_argv(kind, n, pub_max, cit_max, k_max, limit, fmt):
+    return ["mine", "--kind", kind, "-n", str(n), "--year", str(Y),
+            "--pub-max", str(pub_max), "--cit-max", str(cit_max),
+            "--k-max", str(k_max), "--limit", str(limit), "--format", fmt]
+
+
+def _listed_mine_output(witnesses, fmt):
+    """The output built the unstreamed way: every row dict first, then
+    one ``json.dump`` of the whole list."""
+    rows = []
+    for witness in witnesses:
+        left, right = witness.scenario.left, witness.scenario.right
+        before, after = witness.verdict.before, witness.verdict.after
+        (year, k), = witness.scenario.injection.additions
+        rows.append({
+            "left_pubs": json.dumps(left.pubs, sort_keys=True),
+            "left_cits": json.dumps(
+                {f"{c},{d}": v for (c, d), v in sorted(left.cits.items())}),
+            "right_pubs": json.dumps(right.pubs, sort_keys=True),
+            "right_cits": json.dumps(
+                {f"{c},{d}": v for (c, d), v in sorted(right.cits.items())}),
+            "inject_year": year,
+            "k": k,
+            "before": f"{format_exact(before[0])} vs "
+                      f"{format_exact(before[1])}",
+            "after": f"{format_exact(after[0])} vs {format_exact(after[1])}",
+        })
+    out = io.StringIO()
+    if fmt == "json":
+        json.dump(rows, out, indent=2)
+        out.write("\n")
+    else:
+        for row in rows:
+            out.write("\t".join(str(row[col]) for col in _MINE_COLUMNS)
+                      + "\n")
+    return out.getvalue()
+
+
+def _same_pair(a, b):
+    return (a.scenario.left is b.scenario.left
+            and a.scenario.right is b.scenario.right)
+
+
+@pytest.mark.parametrize("kind, n, pub_max, cit_max, k_max", [
+    # the benchmark's mine boxes, and one without any witness
+    ("sync-roa", 2, 2, 5, 6),
+    ("diachronous", 2, 4, 6, 4),
+    ("sync-aor", 2, 2, 4, 4),
+    ("sync-roa", 2, 1, 3, 3),
+])
+def test_mine_stream_matches_listed_output(kind, n, pub_max, cit_max, k_max):
+    bounds = SearchBounds(n=n, pub_max=pub_max, cit_max=cit_max,
+                          k_max=k_max, target_year=Y)
+    witnesses = mine_counterexamples(IndicatorKind(kind), bounds, 10**6)
+    # the smallest limit that cuts a pair's (year, k) run in two
+    cut = next((i for i in range(1, len(witnesses))
+                if _same_pair(witnesses[i - 1], witnesses[i])), None)
+    assert cut is not None or not witnesses
+    limits = [10**6] if cut is None else [10**6, cut]
+    for limit in limits:
+        for fmt in ("tsv", "json"):
+            code, out = invoke(_mine_argv(kind, n, pub_max, cit_max, k_max,
+                                          limit, fmt))
+            assert code == 0
+            assert out == _listed_mine_output(witnesses[:limit], fmt), \
+                (limit, fmt)
+    if not witnesses:
+        assert invoke(_mine_argv(kind, n, pub_max, cit_max, k_max, 10,
+                                 "json")) == (0, "[]\n")
+
+
+class _Sink:
+    """A write-only output that keeps nothing but a byte count."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def _traced_peak(argv):
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(argv, sink) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak, sink.size
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_mine_memory_does_not_grow_with_limit(fmt):
+    # 5540 witnesses: held as a list they take about 11 MB; streamed, the
+    # peaks differ by a few hundred KB of first-call and cyclic garbage
+    box = ("diachronous", 2, 4, 6, 4)
+    small, small_size = _traced_peak(_mine_argv(*box, 10, fmt))
+    large, large_size = _traced_peak(_mine_argv(*box, 10**6, fmt))
+    assert large_size > 100 * small_size
+    assert large - small < 1024 * 1024, (small, large)
+
+
+# --- exit-code fuzz -----------------------------------------------------------
+
+def _csv_file(header, fields):
+    row = st.tuples(*fields).map(",".join)
+    valid = st.lists(row, max_size=8).map(
+        lambda rows: "\n".join([header] + rows) + "\n")
+    return st.one_of(valid, st.text(alphabet="J,19\n\r\"-x", max_size=30))
+
+
+_journal = st.sampled_from(["A", "B", "C", ""])
+_year = st.sampled_from(["1997", "1998", "1999", "2000", "2001", "x"])
+_count = st.sampled_from(["0", "1", "3", "9", "-1", "x", ""])
+_PUBS_FILE = _csv_file("journal,year,pubs", [_journal, _year, _count])
+_CITS_FILE = _csv_file("journal,citing_year,cited_year,count",
+                       [_journal, _year, _year, _count])
+
+
+def _value(valid, invalid):
+    """A flag value, valid four times in five."""
+    return st.sampled_from(valid * (4 * len(invalid)) + invalid * len(valid))
+
+
+# mine bounds stay tiny, so every drawn run is quick
+_SMALL = _value(["1", "2"], ["-1", "0", "x"])
+_FLAGS = {
+    "--pubs": _value(["PUBS"], ["CITS", "missing.csv"]),
+    "--cits": _value(["CITS"], ["PUBS", "missing.csv"]),
+    "--kind": _value(["sync-roa", "sync-aor", "diachronous"], ["x"]),
+    "-n": _SMALL,
+    "--year": _value(["1999", "2000", "2001"], ["x"]),
+    "-s": _value(["0", "1"], ["2"]),
+    "--format": _value(["tsv", "json"], ["x"]),
+    "--places": _value(["0", "3"], ["-1"]),
+    "--k-max": _SMALL,
+    "--pub-max": _SMALL,
+    "--cit-max": _SMALL,
+    "--limit": _SMALL,
+}
+_CORPUS_FLAGS = ["--pubs", "--cits", "--kind", "-n", "--year", "-s",
+                 "--format", "--places"]
+_COMMAND_FLAGS = {
+    "compute": _CORPUS_FLAGS,
+    "rank": _CORPUS_FLAGS,
+    "sensitivity": _CORPUS_FLAGS + ["--k-max"],
+    "mine": _CORPUS_FLAGS[2:] + ["--pub-max", "--cit-max", "--k-max",
+                                 "--limit"],
+    "verify-paper": [],
+    "x": [],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pubs=_PUBS_FILE, cits=_CITS_FILE, data=st.data())
+def test_cli_exit_code_fuzz(pubs, cits, data):
+    # the command's own flags with at most two left out, and at times one
+    # that the command may not take
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    own = _COMMAND_FLAGS[command]
+    dropped = data.draw(st.sets(st.sampled_from(own), max_size=2)) \
+        if own else set()
+    flags = [flag for flag in own if flag not in dropped]
+    flags += data.draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"PUBS": Path(tmp, "pubs.csv"), "CITS": Path(tmp, "cits.csv"),
+                 "missing.csv": Path(tmp, "missing.csv")}
+        files["PUBS"].write_text(pubs)
+        files["CITS"].write_text(cits)
+        argv = [command]
+        for flag in flags:
+            value = data.draw(_FLAGS[flag])
+            argv += [flag, str(files.get(value, value))]
+        assert run(argv, io.StringIO()) in (0, 1, 2)

@@ -4,7 +4,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from impactz import (
     IndicatorKind,
@@ -16,7 +16,9 @@ from impactz import (
     PreconditionViolated,
     Ratio,
     SearchBounds,
+    Verdict,
     VerdictTag,
+    ZeroDenominator,
     apply_injection,
     check_z_consistency,
     compute,
@@ -96,6 +98,78 @@ def test_zero_denominator_names_journal_and_phase(roa_pair):
             PairScenario(j, empty, ROA2, Injection.single(Y - 1, 1)))
     assert "E" in str(exc_info.value)
     assert "before" in str(exc_info.value)
+
+
+def _rebuilt_verdict(scenario):
+    """Oracle: evaluate both journals, then rebuild each through
+    ``apply_injection`` and evaluate the new journals."""
+    def evaluate(data, phase):
+        try:
+            return compute(data, scenario.spec)
+        except ZeroDenominator as exc:
+            raise ZeroDenominator(f"{exc} ({phase} injection)", year=exc.year,
+                                  journal=data.journal_id) from exc
+
+    before = (evaluate(scenario.left, "before"),
+              evaluate(scenario.right, "before"))
+    after = tuple(evaluate(apply_injection(data, scenario.injection), "after")
+                  for data in (scenario.left, scenario.right))
+    if before[0] == before[1]:
+        tag = VerdictTag.TIE_BEFORE
+    elif after[0] == after[1]:
+        tag = VerdictTag.TIE_AFTER
+    elif (before[0] < before[1]) != (after[0] < after[1]):
+        tag = VerdictTag.REVERSED
+    else:
+        tag = VerdictTag.PRESERVED
+    return Verdict(tag, before, after)
+
+
+# every window of n <= 3, s <= 1 at Y lies in these years and cells
+_OVERLAY_YEARS = range(Y - 4, Y + 2)
+_OVERLAY_CELLS = ([(Y, y) for y in range(Y - 4, Y)]
+                  + [(Y + i, Y) for i in range(5)] + [(Y + 1, Y - 1)])
+
+
+@st.composite
+def overlay_scenarios(draw):
+    spec = IndicatorSpec(draw(st.sampled_from(list(IndicatorKind))),
+                         draw(st.integers(1, 3)), Y,
+                         draw(st.sampled_from([0, 1])))
+
+    def journal(name):
+        return JournalData(
+            name, {y: draw(st.integers(0, 4)) for y in _OVERLAY_YEARS},
+            {cell: draw(st.integers(0, 6)) for cell in _OVERLAY_CELLS})
+
+    # years outside every window, and repeated years, are both drawn
+    injection = Injection(draw(st.lists(
+        st.tuples(st.integers(Y - 6, Y + 2), st.integers(1, 5)),
+        max_size=4)))
+    return PairScenario(journal("L"), journal("R"), spec, injection)
+
+
+@settings(max_examples=400, deadline=None)
+@given(overlay_scenarios())
+@example(PairScenario(  # a repeated year: 10 + 15 reverses, each alone not
+    JournalData("L", {Y - 1: 10, Y - 2: 10}, {(Y, Y - 1): 30, (Y, Y - 2): 30}),
+    JournalData("R", {Y - 1: 30, Y - 2: 30}, {(Y, Y - 1): 60, (Y, Y - 2): 60}),
+    ROA2, Injection([(Y - 1, 10), (Y - 1, 15), (Y + 7, 1)])))
+@example(PairScenario(  # the right journal's window is empty
+    JournalData("L", {Y: 2}, {}), JournalData("R", {Y + 1: 3}, {}),
+    DIA3, Injection([(Y, 1)])))
+def test_check_matches_rebuilt_journals(scenario):
+    try:
+        want = _rebuilt_verdict(scenario)
+    except ZeroDenominator as exc:
+        with pytest.raises(ZeroDenominator) as got:
+            check_z_consistency(scenario)
+        assert (str(got.value), got.value.year, got.value.journal) \
+            == (str(exc), exc.year, exc.journal)
+        return
+    got = check_z_consistency(scenario)
+    assert got == want
+    assert all(type(v) is Ratio for v in got.before + got.after)
 
 
 # --- minimal reversing injection -------------------------------------------

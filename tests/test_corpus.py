@@ -67,6 +67,16 @@ def test_load_accepts_file_paths(tmp_path):
     assert set(corpus.journals) == {"J", "J'"}
 
 
+@pytest.mark.parametrize("text", [".", "typo.csv"])
+def test_load_str_is_always_csv_text(text):
+    # a str is never opened as a path, even one that exists: "." is the
+    # current directory, and "typo.csv" reads as a one-cell header
+    with pytest.raises(ParseError) as exc_info:
+        load_corpus(text, "")
+    assert exc_info.value.line == 1
+    assert f"got {text}" in str(exc_info.value)
+
+
 def test_journal_in_one_file_gets_zero_other_side():
     corpus = load_corpus("journal,year,pubs\nX,1999,5\n",
                          "journal,citing_year,cited_year,count\n")
