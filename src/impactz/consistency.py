@@ -234,7 +234,8 @@ def equal_pubs_preserved(left: JournalData, right: JournalData,
     indicator: with identical per-year publication vectors, a common
     uncited injection can never reverse a strict ordering.
 
-    The non-reversal is asserted as a checked postcondition.
+    The non-reversal is a checked postcondition: a reversal raises
+    AssertionError, under ``python -O`` too.
     """
     if spec.kind is not IndicatorKind.SYNC_ROA:
         raise PreconditionViolated(
@@ -251,8 +252,9 @@ def equal_pubs_preserved(left: JournalData, right: JournalData,
         raise PreconditionViolated(
             f"no strict ordering between {left.journal_id} and "
             f"{right.journal_id} before injection")
-    assert verdict.tag is not VerdictTag.REVERSED, \
-        "equal publication vectors cannot produce a reversal"
+    if verdict.tag is VerdictTag.REVERSED:
+        raise AssertionError(
+            "equal publication vectors cannot produce a reversal")
     return verdict
 
 
@@ -288,7 +290,8 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
         scenarios = _iter_totals_based(kind, bounds, equal_pubs)
     for scenario in scenarios:
         verdict = check_z_consistency(scenario)
-        assert verdict.tag is VerdictTag.REVERSED, "miner candidate failed self-check"
+        if verdict.tag is not VerdictTag.REVERSED:
+            raise AssertionError("miner candidate failed self-check")
         yield ReversalWitness(scenario, verdict)
 
 

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -92,9 +93,24 @@ class SensitivityRow:
     k_max: int
 
 
-def _read_rows(source, expected_header: list[str]):
-    """Yield (line_number, row) from a file object, an ``os.PathLike``
-    path, or a ``str`` of CSV text (a ``str`` is never a path)."""
+_PUBS_HEADER = ["journal", "year", "pubs"]
+_CITS_HEADER = ["journal", "citing_year", "cited_year", "count"]
+
+
+@contextmanager
+def _csv_errors(reader):
+    """A csv.Error, such as a field over ``csv.field_size_limit()``, is a
+    ParseError at the reader's line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+
+
+def _csv_body(source, header: list[str]):
+    """A ``csv.reader`` past the checked header of a file object, an
+    ``os.PathLike`` path, or a ``str`` of CSV text (a ``str`` is never a
+    path)."""
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, os.PathLike):
@@ -102,38 +118,37 @@ def _read_rows(source, expected_header: list[str]):
             text = fh.read()
     else:
         text = source
-    reader = _csv_rows(text)
-    header = next(reader, None)
-    if header is None:
-        return
-    if [h.strip() for h in header] != expected_header:
-        raise ParseError(1, f"expected header {','.join(expected_header)}, "
-                            f"got {','.join(header)}")
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(expected_header):
-            raise ParseError(line, f"expected {len(expected_header)} fields, "
-                                   f"got {len(row)}")
-        yield line, [cell.strip() for cell in row]
-
-
-def _csv_rows(text: str):
-    """``csv.reader`` rows; a csv.Error, such as a field over
-    ``csv.field_size_limit()``, is a ParseError at the reader's line."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(reader.line_num, str(exc)) from None
+    with _csv_errors(reader):
+        got = next(reader, None)
+    if got is not None and [cell.strip() for cell in got] != header:
+        raise ParseError(1, f"expected header {','.join(header)}, "
+                            f"got {','.join(got)}")
+    return reader
 
 
-def _int_field(line: int, name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(line, f"{name} must be an integer, got {raw!r}") \
-            from None
+def _slow_row(line: int, row: list[str], header: list[str]
+              ) -> list | None:
+    """A row that did not unpack or convert as it stands, read cell by
+    stripped cell: None for a blank row (no cells, or only whitespace),
+    else its journal id and integers, or a ParseError for a wrong field
+    count or the first field that is not an integer.  A row can get here
+    and still be valid: ``str.strip`` strips U+001C..U+001F, ``int`` does
+    not."""
+    cells = [cell.strip() for cell in row]
+    if not any(cells):
+        return None
+    if len(cells) != len(header):
+        raise ParseError(line, f"expected {len(header)} fields, "
+                               f"got {len(cells)}")
+    values: list = [cells[0]]
+    for name, raw in zip(header[1:], cells[1:]):
+        try:
+            values.append(int(raw))
+        except ValueError:
+            raise ParseError(line, f"{name} must be an integer, got {raw!r}") \
+                from None
+    return values
 
 
 def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
@@ -142,41 +157,67 @@ def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
     Each source is a file object, an ``os.PathLike`` path, or a ``str``
     of CSV text; a ``str`` is never opened as a path.  Journals present
     in only one file get zero counts for the other side.
+
+    Every cell is read stripped of surrounding whitespace, and blank or
+    whitespace-only rows are skipped.  ``line N`` in an error counts CSV
+    records, with the header as line 1, so a quoted line break does not
+    advance it.  A row with a wrong field count is reported as such;
+    otherwise the first field that is not an integer is the one reported.
     """
     pubs: dict[str, dict[int, int]] = {}
-    for line, (journal, year_raw, count_raw) in _read_rows(
-            pubs_source, ["journal", "year", "pubs"]):
-        year = _int_field(line, "year", year_raw)
-        count = _int_field(line, "pubs", count_raw)
-        if count < 0:
-            raise ValidationError(
-                f"line {line}: negative publication count {count}")
-        per_journal = pubs.setdefault(journal, {})
-        if year in per_journal:
-            raise ValidationError(
-                f"line {line}: duplicate publication row for "
-                f"({journal}, {year})")
-        per_journal[year] = count
+    reader = _csv_body(pubs_source, _PUBS_HEADER)
+    with _csv_errors(reader):
+        for line, row in enumerate(reader, start=2):
+            try:
+                journal, year, count = row
+                year, count = int(year), int(count)
+            except ValueError:
+                values = _slow_row(line, row, _PUBS_HEADER)
+                if values is None:
+                    continue
+                journal, year, count = values
+            if count < 0:
+                raise ValidationError(
+                    f"line {line}: negative publication count {count}")
+            journal = journal.strip()
+            per_journal = pubs.get(journal)
+            if per_journal is None:
+                per_journal = pubs[journal] = {}
+            elif year in per_journal:
+                raise ValidationError(
+                    f"line {line}: duplicate publication row for "
+                    f"({journal}, {year})")
+            per_journal[year] = count
 
     cits: dict[str, dict[tuple[int, int], int]] = {}
-    for line, (journal, citing_raw, cited_raw, count_raw) in _read_rows(
-            cits_source, ["journal", "citing_year", "cited_year", "count"]):
-        citing = _int_field(line, "citing_year", citing_raw)
-        cited = _int_field(line, "cited_year", cited_raw)
-        count = _int_field(line, "count", count_raw)
-        if count < 0:
-            raise ValidationError(
-                f"line {line}: negative citation count {count}")
-        if citing < cited:
-            raise ValidationError(
-                f"line {line}: citing year {citing} precedes cited year "
-                f"{cited}")
-        per_journal = cits.setdefault(journal, {})
-        if (citing, cited) in per_journal:
-            raise ValidationError(
-                f"line {line}: duplicate citation row for "
-                f"({journal}, {citing}, {cited})")
-        per_journal[(citing, cited)] = count
+    reader = _csv_body(cits_source, _CITS_HEADER)
+    with _csv_errors(reader):
+        for line, row in enumerate(reader, start=2):
+            try:
+                journal, citing, cited, count = row
+                citing, cited, count = int(citing), int(cited), int(count)
+            except ValueError:
+                values = _slow_row(line, row, _CITS_HEADER)
+                if values is None:
+                    continue
+                journal, citing, cited, count = values
+            if count < 0:
+                raise ValidationError(
+                    f"line {line}: negative citation count {count}")
+            if citing < cited:
+                raise ValidationError(
+                    f"line {line}: citing year {citing} precedes cited year "
+                    f"{cited}")
+            journal = journal.strip()
+            cell = (citing, cited)
+            per_journal = cits.get(journal)
+            if per_journal is None:
+                per_journal = cits[journal] = {}
+            elif cell in per_journal:
+                raise ValidationError(
+                    f"line {line}: duplicate citation row for "
+                    f"({journal}, {citing}, {cited})")
+            per_journal[cell] = count
 
     journals = {
         journal_id: JournalData(journal_id, pubs.get(journal_id, {}),
@@ -326,10 +367,10 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
         per_year: dict[int, int | None] = {}
         for year in denominator_years(spec):
             k = min_reversal_k(left, right, spec, year, k_max)
-            if k is not None:
-                assert _reverses(left, right, spec, year, k)
-                assert k == 1 or not _reverses(left, right, spec, year,
-                                               k - 1)
+            if k is not None and (
+                    not _reverses(left, right, spec, year, k)
+                    or k > 1 and _reverses(left, right, spec, year, k - 1)):
+                raise AssertionError
             per_year[year] = k
         rows.append(SensitivityRow(upper.journal_id, lower.journal_id,
                                    per_year, k_max))

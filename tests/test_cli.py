@@ -216,6 +216,60 @@ def test_error_diagnostics_have_stable_prefix(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_GOOD_PUBS = "journal,year,pubs\nJ,1999,10\n"
+_GOOD_CITS = "journal,citing_year,cited_year,count\nJ,2000,1999,5\n"
+
+
+def _then(good: str, row: str) -> str:
+    """``good``, a whitespace-only line 3 (skipped, still counted), then
+    ``row`` on line 4."""
+    return f"{good} \t \n{row}\n"
+
+
+@pytest.mark.parametrize("which, text, message", [
+    ("pubs", _then(_GOOD_PUBS, "J,19x9,10"),
+     "line 4: year must be an integer, got '19x9'"),
+    ("pubs", _then(_GOOD_PUBS, " J , 1998 , ten "),
+     "line 4: pubs must be an integer, got 'ten'"),
+    ("pubs", _then(_GOOD_PUBS, "J,x,y"),
+     "line 4: year must be an integer, got 'x'"),
+    ("pubs", _then(_GOOD_PUBS, "J,1998"), "line 4: expected 3 fields, got 2"),
+    ("pubs", _then(_GOOD_PUBS, "J,1998,-1"),
+     "line 4: negative publication count -1"),
+    ("pubs", _then(_GOOD_PUBS, "J,1999,7"),
+     "line 4: duplicate publication row for (J, 1999)"),
+    ("pubs", "journal,yr,pubs\n",
+     "line 1: expected header journal,year,pubs, got journal,yr,pubs"),
+    ("cits", _then(_GOOD_CITS, "J,2OOO,1999,5"),
+     "line 4: citing_year must be an integer, got '2OOO'"),
+    ("cits", _then(_GOOD_CITS, "J,2000,1999.0,5"),
+     "line 4: cited_year must be an integer, got '1999.0'"),
+    ("cits", _then(_GOOD_CITS, "J,2000,1998,"),
+     "line 4: count must be an integer, got ''"),
+    ("cits", _then(_GOOD_CITS, "J,2000,1998,5,5"),
+     "line 4: expected 4 fields, got 5"),
+    ("cits", _then(_GOOD_CITS, "J,2000,1998,-3"),
+     "line 4: negative citation count -3"),
+    ("cits", _then(_GOOD_CITS, "J,1998,1999,5"),
+     "line 4: citing year 1998 precedes cited year 1999"),
+    ("cits", _then(_GOOD_CITS, "J,2000,1999,6"),
+     "line 4: duplicate citation row for (J, 2000, 1999)"),
+    ("cits", "journal,citing,cited,count\n",
+     "line 1: expected header journal,citing_year,cited_year,count, "
+     "got journal,citing,cited,count"),
+])
+def test_bad_row_error_line_is_pinned(tmp_path, capsys, which, text,
+                                      message):
+    texts = {"pubs": _GOOD_PUBS, "cits": _GOOD_CITS, which: text}
+    for name in texts:
+        (tmp_path / f"{name}.csv").write_text(texts[name])
+    code, out = invoke(["compute", "--pubs", str(tmp_path / "pubs.csv"),
+                        "--cits", str(tmp_path / "cits.csv"),
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- streamed mine output ----------------------------------------------------
 
 _MINE_COLUMNS = ["left_pubs", "left_cits", "right_pubs", "right_cits",

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -497,3 +501,46 @@ def test_monotone_flip_on_scanned_instances(roa_pair):
         changes = sum(1 for a, b in zip(strict_signs, strict_signs[1:])
                       if a != b)
         assert changes <= 1
+
+
+# --- self-checks under python -O ---------------------------------------------
+
+_SELF_CHECK_PRELUDE = """
+import sys
+from types import SimpleNamespace
+from impactz import *
+from impactz import consistency, corpus
+J = JournalData("J", {1999: 10, 1998: 10}, {(2000, 1999): 30, (2000, 1998): 30})
+K = JournalData("K", {1999: 10, 1998: 10}, {(2000, 1999): 20, (2000, 1998): 20})
+L = JournalData("L", {1999: 30, 1998: 30}, {(2000, 1999): 60, (2000, 1998): 60})
+ROA2 = IndicatorSpec(IndicatorKind.SYNC_ROA, 2, 2000)
+print(f"optimize={sys.flags.optimize}", end=" ")
+try:
+"""
+
+
+@pytest.mark.parametrize("fault", [
+    # the totals miner yields a scenario that does not reverse
+    "consistency._iter_totals_based = lambda kind, bounds, equal_pubs: iter("
+    "[PairScenario(K, J, ROA2, Injection.single(1999, 1))])\n"
+    "next(consistency.iter_counterexamples(IndicatorKind.SYNC_ROA, "
+    "SearchBounds(2, 1, 1, 1)))",
+    # equal publication vectors come out reversed
+    "consistency.check_z_consistency = lambda scenario: "
+    "SimpleNamespace(tag=VerdictTag.REVERSED)\n"
+    "equal_pubs_preserved(J, K, ROA2, Injection.single(1999, 1))",
+    # the threshold is one too high, so k - 1 already reverses
+    "real = corpus.min_reversal_k\n"
+    "corpus.min_reversal_k = lambda *args: real(*args) + 1\n"
+    "sensitivity_report(Corpus({'J': J, 'L': L}), ROA2, 100)",
+], ids=["iter_counterexamples", "equal_pubs_preserved", "sensitivity"])
+def test_self_checks_survive_python_O(fault):
+    script = (_SELF_CHECK_PRELUDE
+              + "".join(f"    {line}\n" for line in fault.splitlines())
+              + "except AssertionError:\n    print('raised')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "optimize=1 raised\n"), \
+        result.stderr

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -227,6 +228,144 @@ def test_load_corpus_fuzz_raises_only_input_errors(pubs, cits):
     except (ParseError, ValidationError):
         return
     assert isinstance(corpus, Corpus)
+
+
+_PUBS_FIELDS = _PUBS_HEADER.split(",")
+_CITS_FIELDS = _CITS_HEADER.split(",")
+
+
+def _reference_load(pubs: str, cits: str) -> Corpus:
+    """A slow, plain loader: strip every cell, one ``int`` per field,
+    the same checks and messages as :func:`load_corpus`, in the same
+    order."""
+    tables = []
+    for text, fields, what in ((pubs, _PUBS_FIELDS, "publication"),
+                               (cits, _CITS_FIELDS, "citation")):
+        table: dict[tuple, int] = {}
+        reader = csv.reader(io.StringIO(text))
+        try:
+            for line, record in enumerate(reader, start=1):
+                cells = [cell.strip() for cell in record]
+                if line == 1:
+                    if cells != fields:
+                        raise ParseError(1, f"expected header "
+                                            f"{','.join(fields)}, "
+                                            f"got {','.join(record)}")
+                    continue
+                if not any(cells):
+                    continue
+                if len(cells) != len(fields):
+                    raise ParseError(line, f"expected {len(fields)} fields, "
+                                           f"got {len(cells)}")
+                values = []
+                for name, cell in zip(fields[1:], cells[1:]):
+                    try:
+                        values.append(int(cell))
+                    except ValueError:
+                        raise ParseError(line, f"{name} must be an integer, "
+                                               f"got {cell!r}") from None
+                *key, count = values
+                if count < 0:
+                    raise ValidationError(
+                        f"line {line}: negative {what} count {count}")
+                if len(key) == 2 and key[0] < key[1]:
+                    raise ValidationError(
+                        f"line {line}: citing year {key[0]} precedes cited "
+                        f"year {key[1]}")
+                row_key = (cells[0], *key)
+                if row_key in table:
+                    raise ValidationError(
+                        f"line {line}: duplicate {what} row for "
+                        f"({', '.join(map(str, row_key))})")
+                table[row_key] = count
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
+        tables.append(table)
+    pub_table, cit_table = tables
+    per_journal = {journal: ({}, {}) for journal, *_ in (*pub_table,
+                                                          *cit_table)}
+    for (journal, year), count in pub_table.items():
+        per_journal[journal][0][year] = count
+    for (journal, citing, cited), count in cit_table.items():
+        per_journal[journal][1][(citing, cited)] = count
+    return Corpus({journal: JournalData(journal, *per_journal[journal])
+                   for journal in sorted(per_journal)})
+
+
+def _outcome(load, pubs: str, cits: str):
+    try:
+        return load(pubs, cits)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+_PAD = st.sampled_from(["", " ", "\t", " \t ", "\u3000", "\x1c"])
+_ID = st.sampled_from(["J", "K", "", "a,b", "a\nb", 'q"t', "J\r\nK"])
+_ODD_INT = st.sampled_from(["+5", "-0", "1_0", "\u0663", "-1", "x", "",
+                            "1.0", "1 0", "_1", "\u00a0"])
+_BLANK_ROW = st.sampled_from(["", " ", "\t", ",,", " , \t,", ",,,,"])
+
+
+def _padded(cell: st.SearchStrategy) -> st.SearchStrategy[str]:
+    """The cell with whitespace around it, quoted where it holds a
+    comma, a quote or a line break."""
+    def render(parts):
+        value = "".join(map(str, parts))
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return st.tuples(_PAD, cell, _PAD).map(render)
+
+
+def _loader_text(fields: list[str]) -> st.SearchStrategy[str]:
+    """A header, then well-formed and blank rows with at most one odd
+    row among them: odd integer spellings, or any number of fields."""
+    header = st.sampled_from([",".join(fields), " , ".join(fields) + "\t"])
+    years = [st.integers(2000, 2001), st.integers(1995, 2000)]
+    good = st.tuples(_padded(_ID),
+                     *map(_padded, years[4 - len(fields):]),
+                     _padded(st.integers(0, 9))).map(",".join)
+    odd_int = _padded(st.one_of(_ODD_INT, *years))
+    odd = st.one_of(
+        st.tuples(_padded(_ID), *[odd_int] * (len(fields) - 1)),
+        st.lists(odd_int, min_size=1, max_size=len(fields) + 1)).map(
+        ",".join)
+    rows = st.tuples(st.lists(st.one_of(good, good, _BLANK_ROW),
+                              max_size=5),
+                     st.lists(odd, max_size=1), st.integers(0, 5)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+    return st.tuples(header, rows, st.sampled_from(["\n", "\r\n"])).map(
+        lambda t: t[2].join([t[0], *t[1]]) + t[2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_loader_text(_PUBS_FIELDS), _loader_text(_CITS_FIELDS))
+@example(f"{_PUBS_HEADER}\n J\t, 1999 ,+5\n \t\n,,\nK,\u0663,1_0\n",
+         f"{_CITS_HEADER}\n\"J\nX\",2000,1999,-0\n")
+@example(f"{_PUBS_HEADER}\nJ,19x9,10\n", "")
+@example(f"{_PUBS_HEADER}\nJ,1999,\n", "")
+@example("", f"{_CITS_HEADER}\nJ,x,1999,5\n")
+@example("", f"{_CITS_HEADER}\nJ,2000,x,5\n")
+@example("", f"{_CITS_HEADER}\nJ,2000,1999,five\n")
+@example(f"{_PUBS_HEADER}\nJ,1999\n", "")
+@example("", f"{_CITS_HEADER}\nJ,2000,1999,5,\n")
+@example(f"{_PUBS_HEADER}\nJ,1999,-1\n", "")
+@example("", f"{_CITS_HEADER}\nJ,2000,1999,-1\n")
+@example("", f"{_CITS_HEADER}\nJ,1998,1999,5\n")
+@example(f"{_PUBS_HEADER}\nJ,1999,1\n J ,1999,2\n", "")
+@example("", f"{_CITS_HEADER}\nJ,2000,1999,1\nJ,2000,1999,1\n")
+@example("journal,pubs\n", "")
+@example("", "journal,citing_year,count\n")
+@example(f"{_PUBS_HEADER}\n ,1999,1\n", "")
+@example(f"{_PUBS_HEADER}\nJ,1," + "1" * 131_073 + "\n", "")
+# str.strip() strips the separators \x1c..\x1f, int() does not
+@example(f"{_PUBS_HEADER}\nJ,\x1c1999,5\x1f\n",
+         f"{_CITS_HEADER}\nJ,\x1d2000,1999\x1e,x\n")
+# a quoted line break: line N counts CSV records, not physical lines
+@example(f'{_PUBS_HEADER}\n"J\n\nK",1999,1\nJ,x,1\n', "")
+def test_load_corpus_matches_reference_loader(pubs, cits):
+    assert _outcome(load_corpus, pubs, cits) == _outcome(_reference_load,
+                                                          pubs, cits)
 
 
 _json_values = st.recursive(
