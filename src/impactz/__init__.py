@@ -19,6 +19,7 @@ from .core import (
     IndicatorSpec,
     Injection,
     JournalData,
+    ValidationError,
     ZeroDenominator,
     apply_injection,
     cit_count,
@@ -35,7 +36,6 @@ from .corpus import (
     Ranking,
     RankingEntry,
     SensitivityRow,
-    ValidationError,
     corpus_from_json,
     corpus_to_json,
     load_corpus,

@@ -15,8 +15,8 @@ from itertools import islice
 
 from . import reference
 from .consistency import SearchBounds, iter_counterexamples
-from .core import IndicatorKind, IndicatorSpec, ZeroDenominator, compute
-from .corpus import _sensitivity_rows, load_corpus, rank
+from .core import IndicatorKind, IndicatorSpec
+from .corpus import _sensitivity_rows, _values, load_corpus, rank
 from .ratio import format_exact, to_decimal
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
@@ -102,8 +102,8 @@ def _spec_from_args(args: argparse.Namespace) -> IndicatorSpec:
     return IndicatorSpec(_KINDS[args.kind], args.n, args.year, args.s)
 
 
-def _cell(value, places: int) -> tuple[str, str]:
-    return format_exact(value), to_decimal(value, places)
+def _cell(value, places: int) -> dict[str, str]:
+    return {"exact": format_exact(value), "decimal": to_decimal(value, places)}
 
 
 def _emit(rows, columns: list[str], fmt: str, out) -> None:
@@ -133,30 +133,18 @@ def _warn_skipped(skipped) -> None:
 
 
 def _cmd_compute(args, out) -> int:
-    corpus = _load(args)
-    spec = _spec_from_args(args)
-    rows, skipped = [], []
-    for journal_id, data in sorted(corpus.journals.items()):
-        try:
-            exact, decimal = _cell(compute(data, spec), args.places)
-        except ZeroDenominator as exc:
-            skipped.append((journal_id, str(exc)))
-            continue
-        rows.append({"journal": journal_id, "exact": exact,
-                     "decimal": decimal})
+    values, skipped = _values(_load(args), _spec_from_args(args))
+    rows = [{"journal": journal_id, **_cell(value, args.places)}
+            for journal_id, value in values]
     _emit(rows, ["journal", "exact", "decimal"], args.format, out)
     _warn_skipped(skipped)
     return 0
 
 
 def _cmd_rank(args, out) -> int:
-    corpus = _load(args)
-    ranking = rank(corpus, _spec_from_args(args))
-    rows = []
-    for entry in ranking.entries:
-        exact, decimal = _cell(entry.value, args.places)
-        rows.append({"rank": entry.rank, "journal": entry.journal_id,
-                     "exact": exact, "decimal": decimal})
+    ranking = rank(_load(args), _spec_from_args(args))
+    rows = [{"rank": entry.rank, "journal": entry.journal_id,
+             **_cell(entry.value, args.places)} for entry in ranking.entries]
     _emit(rows, ["rank", "journal", "exact", "decimal"], args.format, out)
     _warn_skipped(ranking.skipped)
     return 0

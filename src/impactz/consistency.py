@@ -25,7 +25,7 @@ from .core import (
     JournalData,
     ZeroDenominator,
     _evaluate,
-    compute,
+    _window_counts,
     denominator_years,
     window,
 )
@@ -110,8 +110,7 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     spec = scenario.spec
     years, cells = window(spec)
     added = scenario.injection.per_year()
-    counts = [(data.journal_id, [data.pubs.get(y, 0) for y in years],
-               [data.cits.get(cell, 0) for cell in cells])
+    counts = [(data.journal_id, *_window_counts(data, years, cells))
               for data in (scenario.left, scenario.right)]
     values = []
     for phase, extra in (("before", [0] * len(years)),
@@ -195,22 +194,21 @@ def reversal_threshold(left: JournalData, right: JournalData,
         raise InvalidTargetYear(
             f"year {year} is not a denominator year for "
             f"{spec.kind.value} n={spec.n} at {spec.target_year}")
-    before_left = compute(left, spec)
-    before_right = compute(right, spec)
+    counts = [(data.journal_id, *_window_counts(data, years, cells))
+              for data in (left, right)]
+    before_left, before_right = (_evaluate(journal_id, spec, years, pubs, cits)
+                                 for journal_id, pubs, cits in counts)
     if before_left == before_right:
         raise PreconditionViolated(
             f"no strict ordering between {left.journal_id} and "
             f"{right.journal_id} before injection")
     aor = spec.kind is IndicatorKind.SYNC_AOR
-    if aor:
-        # k moves only the injection year's own rate; the sync cells pair
-        # one-to-one with the years
-        j = years.index(year)
-        years, cells = years[j:j + 1], cells[j:j + 1]
-    (p_l, c_l), (p_r, c_r) = (
-        (sum(data.pubs.get(y, 0) for y in years),
-         sum(data.cits.get(cell, 0) for cell in cells))
-        for data in (left, right))
+    # k moves only the injection year's own rate under sync-aor, whose
+    # cells pair one-to-one with the years
+    j = years.index(year)
+    (p_l, c_l), (p_r, c_r) = ((pubs[j], cits[j]) if aor
+                              else (sum(pubs), sum(cits))
+                              for _, pubs, cits in counts)
     other = (spec.n * (before_left - before_right)
              - Fraction(c_l, p_l) + Fraction(c_r, p_r)) if aor else 0
     reversing = _reversal_window(*_coefficients(other, p_l, c_l, p_r, c_r))

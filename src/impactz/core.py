@@ -36,14 +36,38 @@ class ZeroDenominator(ValueError):
         self.journal = journal
 
 
+class ValidationError(ValueError):
+    """Readable input that breaks a data rule, such as a count rule."""
+
+
+def _integer_fault(value, what: str) -> str | None:
+    """Years and counts are ``int``; a bool or a float is not one.  Like
+    each ``_*_fault`` rule, returns why ``value`` breaks it, or None."""
+    return (None if type(value) is int
+            else f"{what} must be an integer, got {value!r}")
+
+
+def _sign_fault(count: int, what: str) -> str | None:
+    """A ``what`` ("publication" or "citation") count is not negative."""
+    return f"negative {what} count {count}" if count < 0 else None
+
+
+def _direction_fault(citing: Year, cited: Year) -> str | None:
+    """Citations do not flow backwards in time; the same year is allowed."""
+    return (f"citing year {citing} precedes cited year {cited}"
+            if citing < cited else None)
+
+
 @dataclass(frozen=True)
 class JournalData:
     """Per-journal publication and citation counts.
 
     ``pubs`` maps publication year to article count; ``cits`` maps
     (citing year, cited year) to citation count.  Absent keys mean zero.
-    Citations must not flow backwards in time (citing >= cited; equality
-    covers same-year citation).
+    Every entry keeps the count contract: years and counts are ``int``
+    (no bool, no float), no count is negative, and citing >= cited
+    (equality covers same-year citation).  Zero entries are dropped.  A
+    breach raises :class:`ValidationError` naming the journal and key.
     """
 
     journal_id: str
@@ -51,28 +75,25 @@ class JournalData:
     cits: Mapping[tuple[Year, Year], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean_pubs: dict[Year, int] = {}
         for year, count in self.pubs.items():
-            if count < 0:
-                raise ValueError(
-                    f"{self.journal_id}: negative publication count "
-                    f"{count} in year {year}")
-            if count:
-                clean_pubs[int(year)] = int(count)
-        clean_cits: dict[tuple[Year, Year], int] = {}
+            if fault := (_integer_fault(year, "year")
+                         or _integer_fault(count, "count")
+                         or _sign_fault(count, "publication")):
+                raise ValidationError(
+                    f"journal {self.journal_id!r}, pubs[{year!r}]: {fault}")
         for (citing, cited), count in self.cits.items():
-            if citing < cited:
-                raise ValueError(
-                    f"{self.journal_id}: citation from {citing} to a later "
-                    f"year {cited} is impossible")
-            if count < 0:
-                raise ValueError(
-                    f"{self.journal_id}: negative citation count {count} "
-                    f"for ({citing}, {cited})")
-            if count:
-                clean_cits[(int(citing), int(cited))] = int(count)
-        object.__setattr__(self, "pubs", clean_pubs)
-        object.__setattr__(self, "cits", clean_cits)
+            if fault := (_integer_fault(citing, "citing year")
+                         or _integer_fault(cited, "cited year")
+                         or _integer_fault(count, "count")
+                         or _sign_fault(count, "citation")
+                         or _direction_fault(citing, cited)):
+                raise ValidationError(
+                    f"journal {self.journal_id!r}, "
+                    f"cits[{(citing, cited)!r}]: {fault}")
+        for name in ("pubs", "cits"):
+            object.__setattr__(self, name, {
+                key: count for key, count in getattr(self, name).items()
+                if count})
 
 
 class IndicatorKind(Enum):
@@ -108,19 +129,20 @@ class IndicatorSpec:
 class Injection:
     """Uncited publications to add: a list of (year, count) pairs.
 
-    Duplicate years are allowed and sum.  Counts are strictly positive;
-    the added publications receive no citations.
+    Duplicate years are allowed and sum.  Years and counts are ``int``
+    and counts are strictly positive; the additions receive no citations.
     """
 
     additions: tuple[tuple[Year, int], ...]
 
     def __init__(self, additions: Iterable[tuple[Year, int]]):
         object.__setattr__(self, "additions", tuple(
-            (int(y), int(k)) for y, k in additions))
+            (y, k) for y, k in additions))
         for year, k in self.additions:
-            if k <= 0:
-                raise ValueError(f"injection count must be > 0, got {k} "
-                                 f"at year {year}")
+            if fault := (_integer_fault(year, "year")
+                         or _integer_fault(k, "count")
+                         or (k <= 0 and f"count must be > 0, got {k}")):
+                raise ValidationError(f"injection {(year, k)!r}: {fault}")
 
     @classmethod
     def single(cls, year: Year, k: int) -> "Injection":
@@ -164,8 +186,13 @@ def compute(data: JournalData, spec: IndicatorSpec) -> Ratio:
     """Evaluate the indicator over its :func:`window`."""
     years, cells = window(spec)
     return _evaluate(data.journal_id, spec, years,
-                     [data.pubs.get(y, 0) for y in years],
-                     [data.cits.get(cell, 0) for cell in cells])
+                     *_window_counts(data, years, cells))
+
+
+def _window_counts(data: JournalData, years, cells) -> tuple[list, list]:
+    """The journal's counts for the years and cells of a :func:`window`."""
+    return ([data.pubs.get(y, 0) for y in years],
+            [data.cits.get(cell, 0) for cell in cells])
 
 
 def _evaluate(journal_id: str, spec: IndicatorSpec, years: tuple[Year, ...],

@@ -30,7 +30,10 @@ from .core import (
     IndicatorSpec,
     Injection,
     JournalData,
+    ValidationError,
     ZeroDenominator,
+    _direction_fault,
+    _sign_fault,
     compute,
     denominator_years,
 )
@@ -45,10 +48,6 @@ class ParseError(ValueError):
         super().__init__(reason if line is None else f"line {line}: {reason}")
         self.line = line
         self.reason = reason
-
-
-class ValidationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -176,9 +175,8 @@ def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
                 if values is None:
                     continue
                 journal, year, count = values
-            if count < 0:
-                raise ValidationError(
-                    f"line {line}: negative publication count {count}")
+            if fault := _sign_fault(count, "publication"):
+                raise ValidationError(f"line {line}: {fault}")
             journal = journal.strip()
             per_journal = pubs.get(journal)
             if per_journal is None:
@@ -201,13 +199,9 @@ def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
                 if values is None:
                     continue
                 journal, citing, cited, count = values
-            if count < 0:
-                raise ValidationError(
-                    f"line {line}: negative citation count {count}")
-            if citing < cited:
-                raise ValidationError(
-                    f"line {line}: citing year {citing} precedes cited year "
-                    f"{cited}")
+            if fault := (_sign_fault(count, "citation")
+                         or _direction_fault(citing, cited)):
+                raise ValidationError(f"line {line}: {fault}")
             journal = journal.strip()
             cell = (citing, cited)
             per_journal = cits.get(journal)
@@ -240,12 +234,6 @@ def corpus_to_json(corpus: Corpus) -> str:
                      for citing, cited in sorted(data.cits)],
         }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:  # a bool or a float is not a count
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 class _JsonObject(dict):
@@ -285,27 +273,32 @@ def corpus_from_json(text: str, provenance: str = "") -> Corpus:
                                      "journal id").items():
         where = f"journal {journal_id!r}"
         try:
-            pub_pairs = [(_json_int(int(year) if year.isdecimal() else year,
-                                    f"{where}: year"),
-                          _json_int(count, f"{where}: pubs"))
-                         for year, count in entry["pubs"].pairs]
-            cit_pairs = [((_json_int(c["citing"], f"{where}: citing"),
-                           _json_int(c["cited"], f"{where}: cited")),
-                          _json_int(c["count"], f"{where}: count"))
-                         for c in entry["cits"]]
-            pubs = _unique(pub_pairs, where, "publication year")
-            cits = _unique(cit_pairs, where, "citation")
+            pubs = _unique([(int(year) if year.isdecimal() else year, count)
+                            for year, count in entry["pubs"].pairs],
+                           where, "publication year")
+            cits = _unique([((c["citing"], c["cited"]), c["count"])
+                            for c in entry["cits"]], where, "citation")
         except KeyError as exc:
             raise ValidationError(
                 f"{where}: missing key {exc.args[0]!r}") from None
         except (AttributeError, TypeError):
             raise ValidationError(
                 f'{where}: expected {{"pubs": {{}}, "cits": []}}') from None
-        try:
-            journals[journal_id] = JournalData(journal_id, pubs, cits)
-        except ValueError as exc:  # a negative count or a backward citation
-            raise ValidationError(str(exc)) from None
+        journals[journal_id] = JournalData(journal_id, pubs, cits)
     return Corpus(journals, provenance)
+
+
+def _values(corpus: Corpus, spec: IndicatorSpec
+            ) -> tuple[list[tuple[str, Ratio]], list[tuple[str, str]]]:
+    """The one skip rule: in id order, the (id, value) of each journal
+    the indicator can evaluate and the (id, reason) of each it cannot."""
+    values, skipped = [], []
+    for journal_id, data in sorted(corpus.journals.items()):
+        try:
+            values.append((journal_id, compute(data, spec)))
+        except ZeroDenominator as exc:
+            skipped.append((journal_id, str(exc)))
+    return values, skipped
 
 
 def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
@@ -321,14 +314,7 @@ def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
     is O(N log N) plus the sum of squared group sizes, which is the size
     of the ``tied_with`` output itself.
     """
-    values: list[tuple[str, Ratio]] = []
-    skipped: list[tuple[str, str]] = []
-    for journal_id in sorted(corpus.journals):
-        try:
-            values.append((journal_id, compute(corpus.journals[journal_id],
-                                               spec)))
-        except ZeroDenominator as exc:
-            skipped.append((journal_id, str(exc)))
+    values, skipped = _values(corpus, spec)
     values.sort(key=lambda item: item[1], reverse=True)
 
     entries: list[RankingEntry] = []

@@ -149,7 +149,13 @@ def test_out_of_range_flag_is_usage_error(table_1a_files, command, flag,
     assert out == ""
 
 
-def test_uncomputable_journal_is_skipped_alike(tmp_path, capsys):
+@pytest.mark.parametrize("kind, year, reason", [
+    ("sync-roa", Y, f"no publications in window {Y - 2}..{Y - 1}"),
+    ("sync-aor", Y, f"no publications in year {Y - 1}"),
+    ("diachronous", Y - 1, f"no publications in year {Y - 1}"),
+])
+def test_uncomputable_journal_is_skipped_alike(tmp_path, capsys, kind, year,
+                                               reason):
     # C has publications only outside the 1998..1999 window
     pubs = tmp_path / "pubs.csv"
     cits = tmp_path / "cits.csv"
@@ -157,13 +163,12 @@ def test_uncomputable_journal_is_skipped_alike(tmp_path, capsys):
     cits.write_text(CITS_1A)
     for command in ("compute", "rank", "sensitivity"):
         code, out = invoke([command, "--pubs", str(pubs), "--cits",
-                            str(cits), "--kind", "sync-roa", "-n", "2",
-                            "--year", str(Y)])
+                            str(cits), "--kind", kind, "-n", "2",
+                            "--year", str(year)])
         assert code == 0, command
         assert "C" not in out.split(), command
         assert capsys.readouterr().err == (
-            f"warning: skipped C: C: no publications in window "
-            f"{Y - 2}..{Y - 1}\n"), command
+            f"warning: skipped C: C: {reason}\n"), command
 
 
 def test_sensitivity_ranks_once(table_1a_files, monkeypatch):

@@ -12,6 +12,7 @@ from impactz import (
     Corpus,
     IndicatorKind,
     IndicatorSpec,
+    Injection,
     JournalData,
     ParseError,
     Ratio,
@@ -188,7 +189,7 @@ _J = '{"journals": {"J": %s}}'
           '"count": true}]}', ValidationError, "'J'"),
     (_J % '{"pubs": {"1999": -3}, "cits": []}', ValidationError, "negative"),
     (_J % '{"pubs": {}, "cits": [{"citing": 1998, "cited": 1999, '
-          '"count": 1}]}', ValidationError, "later year"),
+          '"count": 1}]}', ValidationError, "precedes"),
     ('{"journals": {\n  "J": }', ParseError, "line 2"),
     (_J % '{"pubs": {"1999": 3, "1999": 5}, "cits": []}', ValidationError,
      "'J': duplicate publication year 1999"),
@@ -366,6 +367,60 @@ def _loader_text(fields: list[str]) -> st.SearchStrategy[str]:
 def test_load_corpus_matches_reference_loader(pubs, cits):
     assert _outcome(load_corpus, pubs, cits) == _outcome(_reference_load,
                                                           pubs, cits)
+
+
+def _count_loaders(pubs: dict, cits: dict) -> dict:
+    """Ways to hand the same entries to the count rules: as JournalData,
+    as corpus_from_json's layout, as CSV rows, and as an Injection."""
+    doc = json.dumps({"journals": {"J": {
+        "pubs": {str(year): count for year, count in pubs.items()},
+        "cits": [{"citing": citing, "cited": cited, "count": count}
+                 for (citing, cited), count in cits.items()]}}})
+    pub_rows = "".join(f"J,{year},{count}\n" for year, count in pubs.items())
+    cit_rows = "".join(f"J,{citing},{cited},{count}\n"
+                       for (citing, cited), count in cits.items())
+    return {
+        "data": lambda: JournalData("J", pubs, cits),
+        "json": lambda: corpus_from_json(doc).journals["J"],
+        "csv": lambda: load_corpus(f"{_PUBS_HEADER}\n{pub_rows}",
+                                   f"{_CITS_HEADER}\n{cit_rows}"
+                                   ).journals["J"],
+        "injection": lambda: Injection(pubs.items()),
+    }
+
+
+@pytest.mark.parametrize("pubs, cits, via, reason", [
+    ({1999: -3}, {}, "data json csv", "negative publication count -3"),
+    ({}, {(2000, 1999): -1}, "data json csv", "negative citation count -1"),
+    ({}, {(1998, 1999): 5}, "data json csv",
+     "citing year 1998 precedes cited year 1999"),
+    ({1999.5: 3}, {}, "data injection", "year must be an integer, got 1999.5"),
+    ({}, {(2000.5, 1999): 1}, "data json",
+     "citing year must be an integer, got 2000.5"),
+    ({1999: 2.5}, {}, "data json injection",
+     "count must be an integer, got 2.5"),
+    ({1999: True}, {}, "data json injection",
+     "count must be an integer, got True"),
+    ({}, {(2000, 1999): True}, "data json",
+     "count must be an integer, got True"),
+    # accepted: a same-year citation; zero counts are dropped
+    ({1998: 0, 1999: 4}, {(1999, 1999): 2, (2000, 1999): 0},
+     "data json csv", None),
+])
+def test_count_rules_agree(pubs, cits, via, reason):
+    loaders = _count_loaders(pubs, cits)
+    prefix = {"data": "journal 'J', ", "json": "journal 'J', ",
+              "csv": "line 2", "injection": "injection "}
+    for name in via.split():
+        if reason is None:
+            data = loaders[name]()
+            assert (data.pubs, data.cits) == ({1999: 4}, {(1999, 1999): 2})
+            continue
+        with pytest.raises(ValidationError) as exc_info:
+            loaders[name]()
+        location, got = str(exc_info.value).split(": ", 1)
+        assert location.startswith(prefix[name]), name
+        assert got == reason, name
 
 
 _json_values = st.recursive(
