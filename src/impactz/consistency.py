@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
+from functools import cache
 from itertools import islice, product
-from math import isqrt
-from operator import add
+from math import isqrt, lcm
+from operator import add, gt
 from typing import Iterator
 
 from .core import (
@@ -164,12 +165,11 @@ def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
     return (lo, hi) if lo <= hi else None
 
 
-def _coefficients(other: Fraction, p_l: int, c_l: int,
+def _coefficients(a: int, b: int, p_l: int, c_l: int,
                   p_r: int, c_r: int) -> tuple[int, int, int]:
-    """(a, b, c) of the polynomial Q of :func:`reversal_threshold` for
-    ``other`` = a/b and the counts that k moves; ``other`` = 0 gives the
-    linear Q of the totals-based kinds."""
-    a, b = other.numerator, other.denominator
+    """The coefficients of the polynomial Q of :func:`reversal_threshold`
+    for ``other`` = a/b (b > 0) and the counts that k moves; a = 0 gives
+    the linear Q of the totals-based kinds."""
     return (a, a * (p_l + p_r) + b * (c_l - c_r),
             a * p_l * p_r + b * (c_l * p_r - c_r * p_l))
 
@@ -211,7 +211,8 @@ def reversal_threshold(left: JournalData, right: JournalData,
                               for _, pubs, cits in counts)
     other = (spec.n * (before_left - before_right)
              - Fraction(c_l, p_l) + Fraction(c_r, p_r)) if aor else 0
-    reversing = _reversal_window(*_coefficients(other, p_l, c_l, p_r, c_r))
+    reversing = _reversal_window(*_coefficients(
+        other.numerator, other.denominator, p_l, c_l, p_r, c_r))
     return None if reversing is None else reversing[0]
 
 
@@ -239,11 +240,14 @@ def equal_pubs_preserved(left: JournalData, right: JournalData,
         raise PreconditionViolated(
             f"equal-pubs preservation applies to {IndicatorKind.SYNC_ROA}, "
             f"got {spec.kind}")
-    for year in denominator_years(spec):
-        if left.pubs.get(year, 0) != right.pubs.get(year, 0):
+    years = denominator_years(spec)
+    pubs_l, pubs_r = (_window_counts(data, years, ())[0]
+                      for data in (left, right))
+    for year, p_l, p_r in zip(years, pubs_l, pubs_r):
+        if p_l != p_r:
             raise PreconditionViolated(
                 f"publication vectors differ at year {year}: "
-                f"{left.pubs.get(year, 0)} vs {right.pubs.get(year, 0)}")
+                f"{p_l} vs {p_r}")
     verdict = check_z_consistency(
         PairScenario(left, right, spec, injection))
     if verdict.tag is VerdictTag.TIE_BEFORE:
@@ -274,44 +278,20 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
     """Exhaustively enumerate integer publication/citation assignments
     within ``bounds`` and yield every reversal witness, one at a time.
 
-    Output order is canonical: lexicographic over (left pubs, left cits,
-    right pubs, right cits, injection year, k), with vectors indexed by
-    ascending year.  Mirrored duplicates are pruned by only emitting
+    One miner, :func:`_iter_scenarios`, serves all three kinds over one
+    integer table.  Output order is canonical: lexicographic over (left
+    pubs, left cits, right pubs, right cits, injection year, k), with
+    vectors indexed by ascending year.  Mirrored duplicates are pruned by only emitting
     scenarios whose before-ordering is left < right.  Every witness is
     re-verified through :func:`check_z_consistency` before it is yielded.
     The witnesses of one (left, right) pair share the same two
     ``JournalData`` objects.
     """
-    if kind is IndicatorKind.SYNC_AOR:
-        scenarios = _iter_aor(bounds, equal_pubs)
-    else:
-        scenarios = _iter_totals_based(kind, bounds, equal_pubs)
-    for scenario in scenarios:
+    for scenario in _iter_scenarios(kind, bounds, equal_pubs):
         verdict = check_z_consistency(scenario)
         if verdict.tag is not VerdictTag.REVERSED:
             raise AssertionError("miner candidate failed self-check")
         yield ReversalWitness(scenario, verdict)
-
-
-def _vectors_with_sum(length: int, cap: int, lo: int, hi: int
-                      ) -> Iterator[tuple[int, ...]]:
-    """All vectors in [0..cap]^length with component sum in [lo, hi],
-    in lexicographic order."""
-    def rec(prefix: list[int], remaining: int, total: int):
-        if remaining == 0:
-            if lo <= total <= hi:
-                yield tuple(prefix)
-            return
-        for v in range(cap + 1):
-            t = total + v
-            if t > hi:
-                break
-            if t + cap * (remaining - 1) < lo:
-                continue
-            prefix.append(v)
-            yield from rec(prefix, remaining - 1, t)
-            prefix.pop()
-    yield from rec([], length, 0)
 
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
@@ -319,91 +299,92 @@ def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
                        dict(zip(cells, cits_vec)))
 
 
-def _iter_totals_based(kind: IndicatorKind, bounds: SearchBounds,
-                       equal_pubs: bool) -> Iterator[PairScenario]:
-    """Miner for the two totals-driven kinds (sync RoA, diachronous).
+def _reversing_ks(den: int, k_max: int, left_term: tuple[int, int, int],
+                  right_term: tuple[int, int, int]) -> range:
+    """The k in 1..k_max at which injecting k publications in one year
+    reverses a pair with left < right, from each side's (other, p, c) for
+    that year with ``other`` over ``den``; empty when no k does.
 
-    Both indicators equal (total citations) / (total publications), so a
-    reversal with before-ordering left < right requires exactly:
-    CL*PR < CR*PL (strict before), CL > CR (the flip direction), and the
-    crossover k* = floor((CR*PL - CL*PR) / (CL - CR)) + 1 within k_max,
-    the lower end of the linear :func:`_reversal_window`.
-    Those conditions prune whole subtrees without evaluating indicators.
+    After k, left - right has the sign of (other_L - other_R)/den
+    + c_L/(p_L + k) - c_R/(p_R + k).  With other_L <= other_R a flip
+    needs c_L/(p_L + k) > c_R/(p_R + k) although c_L/p_L - c_R/p_R was
+    below other_R - other_L; each term keeps p/(p + k) of itself, a
+    share that grows with p, so that needs p_L > p_R and then c_L > c_R.
+    Other pair-years are dropped before the exact
+    :func:`_reversal_window` is solved.
+    """
+    (other_l, p_l, c_l), (other_r, p_r, c_r) = left_term, right_term
+    if other_l <= other_r and not (p_l > p_r and c_l > c_r):
+        return range(0)
+    reversing = _reversal_window(*_coefficients(
+        other_l - other_r, den, p_l, c_l, p_r, c_r))
+    if reversing is None:
+        return range(0)
+    lo, hi = reversing
+    return range(lo, (k_max if hi is None else min(hi, k_max)) + 1)
+
+
+def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
+                    equal_pubs: bool) -> Iterator[PairScenario]:
+    """The reversing scenarios of the box, in canonical order.
+
+    One integer table serves every kind.  Each (pubs, cits) vector gets
+    its value times ``den``, the lcm of every denominator the box can
+    produce, and per injection year the (other, p, c) of the polynomial
+    of :func:`reversal_threshold`, ``other`` also times ``den``: for
+    sync-aor the other years' share of n*value and that year's counts,
+    for the totals-based kinds 0 and the window totals.  Each oriented
+    pair (left < right) and injection year then yields the k of
+    :func:`_reversing_ks`, so no k is tried that does not reverse.
+
+    The table is built one publication vector at a time, on first use.
+    As other_R >= 0, by :func:`_reversing_ks` a left whose other shares
+    are all 0 needs p_L > p_R in some year, so it skips every right
+    publication vector without one before any of its rows is read.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     years, cells = window(spec)
+    aor = kind is IndicatorKind.SYNC_AOR
+    # sync-aor divides by one year's count, the other kinds by the total
+    den = lcm(*range(1, bounds.pub_max * (1 if aor else len(years)) + 1))
     pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=len(years)))
+    cit_vecs = list(product(range(bounds.cit_max + 1), repeat=len(cells)))
+    # the per-year p of each publication vector's (other, p, c)
+    p_terms = {p: p if aor else (sum(p),) * len(years) for p in pub_vecs}
+
+    @cache
+    def table(p):  # [(cits, value, per-year (other, p, c))] in cits order
+        rows = []
+        for c in cit_vecs:
+            if aor:
+                rates = [cj * (den // pj) for pj, cj in zip(p, c)]
+                value = sum(rates)
+                terms = [(value - rate, pj, cj)
+                         for rate, pj, cj in zip(rates, p, c)]
+            else:
+                value = sum(c) * (den // sum(p))
+                terms = [(0, sum(p), sum(c))] * len(years)
+            rows.append((c, value, terms))
+        return rows
+
     for lp in pub_vecs:
-        pl = sum(lp)
-        for lc in product(range(bounds.cit_max + 1), repeat=len(cells)):
-            cl = sum(lc)
-            if cl == 0:
-                continue  # a zero-citation left can never overtake
-            for rp in ([lp] if equal_pubs else pub_vecs):
-                pr = sum(rp)
-                if pr >= pl:
-                    continue  # flip needs the right denominator smaller
-                # strict before left < right: cr > cl*pr/pl
-                cr_lo = (cl * pr) // pl + 1
-                cr_hi = cl - 1  # flip needs cr < cl
-                if cr_lo > cr_hi:
-                    continue
-                for rc in _vectors_with_sum(len(cells), bounds.cit_max,
-                                            cr_lo, cr_hi):
-                    cr = sum(rc)
-                    # never None: the bounds above give CL*PR < CR*PL, CL > CR
-                    k_star, _ = _reversal_window(0, cl - cr, cl * pr - cr * pl)
-                    if k_star > bounds.k_max:
+        rights = [lp] if equal_pubs else pub_vecs
+        fewer = [rp for rp in rights if any(map(gt, p_terms[lp], p_terms[rp]))]
+        for lc, value_l, terms_l in table(lp):
+            shared = any(other for other, _, _ in terms_l)
+            for rp in (rights if shared else fewer):
+                for rc, value_r, terms_r in table(rp):
+                    if not value_l < value_r:
+                        continue  # canonical orientation: left < right
+                    runs = [(year, ks) for year, term_l, term_r
+                            in zip(years, terms_l, terms_r)
+                            if (ks := _reversing_ks(den, bounds.k_max,
+                                                    term_l, term_r))]
+                    if not runs:
                         continue
                     left = _journal("L", years, lp, cells, lc)
                     right = _journal("R", years, rp, cells, rc)
-                    for inj_year in years:
-                        for k in range(k_star, bounds.k_max + 1):
-                            yield PairScenario(
-                                left, right, spec,
-                                Injection.single(inj_year, k))
-
-
-def _iter_aor(bounds: SearchBounds, equal_pubs: bool
-              ) -> Iterator[PairScenario]:
-    """Miner for the average-of-ratios kind.
-
-    The value is placement-sensitive, so the search enumerates full
-    assignments.  For each oriented pair and injection year the
-    reversing k form one interval, the exact :func:`_reversal_window` of
-    the pair's quadratic, so no k is tried that does not reverse.
-    """
-    n, k_max = bounds.n, bounds.k_max
-    spec = IndicatorSpec(IndicatorKind.SYNC_AOR, n, bounds.target_year)
-    years, cells = window(spec)
-    pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=n))
-    cit_vecs = list(product(range(bounds.cit_max + 1), repeat=n))
-
-    # per vector: n*value, and per year j the other years' share of it
-    shares = {}
-    for p, c in product(pub_vecs, cit_vecs):
-        rates = [Fraction(cj, pj) for pj, cj in zip(p, c)]
-        total = sum(rates)
-        shares[p, c] = total, [total - rate for rate in rates]
-
-    for (lp, lc), (total_l, other_l) in shares.items():
-        for rp in ([lp] if equal_pubs else pub_vecs):
-            for rc in cit_vecs:
-                total_r, other_r = shares[rp, rc]
-                if not total_l < total_r:
-                    continue  # canonical orientation: left < right
-                pair = None
-                for j, inj_year in enumerate(years):
-                    reversing = _reversal_window(*_coefficients(
-                        other_l[j] - other_r[j], lp[j], lc[j], rp[j], rc[j]))
-                    if reversing is None or reversing[0] > k_max:
-                        continue
-                    lo, hi = reversing
-                    hi = k_max if hi is None else min(hi, k_max)
-                    if pair is None:
-                        pair = (_journal("L", years, lp, cells, lc),
-                                _journal("R", years, rp, cells, rc))
-                    left, right = pair
-                    for k in range(lo, hi + 1):
-                        yield PairScenario(left, right, spec,
-                                           Injection.single(inj_year, k))
+                    for inj_year, ks in runs:
+                        for k in ks:
+                            yield PairScenario(left, right, spec,
+                                               Injection.single(inj_year, k))

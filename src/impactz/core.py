@@ -154,9 +154,6 @@ class Injection:
             totals[year] = totals.get(year, 0) + k
         return totals
 
-    def total(self) -> int:
-        return sum(k for _, k in self.additions)
-
 
 def pub_count(data: JournalData, year: Year) -> int:
     return data.pubs.get(year, 0)

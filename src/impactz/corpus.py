@@ -284,6 +284,10 @@ def corpus_from_json(text: str, provenance: str = "") -> Corpus:
         except (AttributeError, TypeError):
             raise ValidationError(
                 f'{where}: expected {{"pubs": {{}}, "cits": []}}') from None
+        except ValidationError:
+            raise
+        except ValueError as exc:  # a year over sys.get_int_max_str_digits()
+            raise ValidationError(f"{where}: {exc}") from None
         journals[journal_id] = JournalData(journal_id, pubs, cits)
     return Corpus(journals, provenance)
 

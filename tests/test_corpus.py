@@ -199,6 +199,8 @@ _J = '{"journals": {"J": %s}}'
     ('{"journals": {"J": {"pubs": {}, "cits": []}, '
      '"J": {"pubs": {}, "cits": []}}}', ValidationError,
      "duplicate journal id 'J'"),
+    pytest.param(_J % ('{"pubs": {"%s": 1}, "cits": []}' % ("1" * 5_000)),
+                 ValidationError, "'J'.*digits", id="long-year-key"),
 ])
 def test_json_wrong_shape_is_rejected(text, error, match):
     with pytest.raises(error, match=match):
@@ -447,6 +449,7 @@ _json_text = st.one_of(
 @example("[" * 100_000)
 @example("1" * 5_000)
 @example("{}")
+@example(_J % ('{"pubs": {"%s": 1}, "cits": []}' % ("1" * 5_000)))
 def test_corpus_from_json_fuzz_raises_only_input_errors(text):
     try:
         corpus = corpus_from_json(text)
