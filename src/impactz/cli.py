@@ -9,11 +9,9 @@ All output is byte-deterministic for a given input and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 
-from . import reference
 from .consistency import SearchBounds, iter_counterexamples
 from .core import IndicatorKind, IndicatorSpec
 from .corpus import _sensitivity_rows, _values, load_corpus, rank
@@ -22,18 +20,21 @@ from .ratio import format_exact, to_decimal
 _KINDS = {kind.value: kind for kind in IndicatorKind}
 
 
-def _int_at_least(low: int):
+def _int_in_range(low: int, high: int | None = None):
     def parse(raw: str) -> int:
         value = int(raw)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-_positive = _int_at_least(1)
-_non_negative = _int_at_least(0)
+_positive = _int_in_range(1)
+_MAX_PLACES = 1000  # well under the 4300-digit limit of int-to-str
+_places = _int_in_range(0, _MAX_PLACES)
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
@@ -55,8 +56,9 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    parser.add_argument("--places", type=_non_negative, default=2,
-                        help="decimal places for display values")
+    parser.add_argument("--places", type=_places, default=2,
+                        help="decimal places for display values "
+                             f"(0 to {_MAX_PLACES})")
 
 
 def _add_command(sub, name: str, func, help: str,
@@ -111,6 +113,7 @@ def _emit(rows, columns: list[str], fmt: str, out) -> None:
     is byte-identical to ``json.dump(list(rows), out, indent=2)`` and a
     newline; the array framing is written here, one row at a time."""
     if fmt == "json":
+        import json
         sep = "[\n  "
         for row in rows:
             out.write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
@@ -182,6 +185,7 @@ def _cmd_mine(args, out) -> int:
 def _mine_rows(witnesses):
     """One row per witness; the journal columns are formatted once per
     (left, right) pair, which the miner shares across its witnesses."""
+    import json
     left = right = journals = None
     for witness in witnesses:
         scenario, verdict = witness.scenario, witness.verdict
@@ -202,6 +206,7 @@ def _mine_rows(witnesses):
 
 
 def _cmd_verify_paper(args, out) -> int:
+    from . import reference
     results = reference.run_checks()
     failures = 0
     for label, ok, detail in results:

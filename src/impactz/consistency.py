@@ -10,22 +10,24 @@ fresh violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterator
 from enum import Enum
+from fractions import Fraction
 from functools import cache
 from itertools import islice, product
 from math import isqrt, lcm
 from operator import add, gt
-from typing import Iterator
 
 from .core import (
     IndicatorKind,
     IndicatorSpec,
     Injection,
     JournalData,
+    Record,
+    ValidationError,
     ZeroDenominator,
     _evaluate,
+    _integer_fault,
     _window_counts,
     denominator_years,
     window,
@@ -50,37 +52,47 @@ class VerdictTag(Enum):
     TIE_AFTER = "tie-after"
 
 
-@dataclass(frozen=True)
-class PairScenario:
+class PairScenario(Record):
     """Two journals, one indicator, one injection applied to BOTH."""
 
-    left: JournalData
-    right: JournalData
-    spec: IndicatorSpec
-    injection: Injection
+    __match_args__ = ("left", "right", "spec", "injection")
+
+    def __init__(self, left: JournalData, right: JournalData,
+                 spec: IndicatorSpec, injection: Injection):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+        fields["spec"] = spec
+        fields["injection"] = injection
 
 
-@dataclass(frozen=True)
-class Verdict:
-    tag: VerdictTag
-    before: tuple[Ratio, Ratio]
-    after: tuple[Ratio, Ratio]
+class Verdict(Record):
+    __match_args__ = ("tag", "before", "after")
+
+    def __init__(self, tag: VerdictTag, before: tuple[Ratio, Ratio],
+                 after: tuple[Ratio, Ratio]):
+        fields = self.__dict__
+        fields["tag"] = tag
+        fields["before"] = before
+        fields["after"] = after
 
 
-@dataclass(frozen=True)
-class ReversalWitness:
+class ReversalWitness(Record):
     """A concrete Z-consistency violation; self-checking by design."""
 
-    scenario: PairScenario
-    verdict: Verdict
+    __match_args__ = ("scenario", "verdict")
+
+    def __init__(self, scenario: PairScenario, verdict: Verdict):
+        fields = self.__dict__
+        fields["scenario"] = scenario
+        fields["verdict"] = verdict
 
     def verify(self) -> bool:
         """Recompute the scenario from raw data and compare verdicts."""
         return check_z_consistency(self.scenario) == self.verdict
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     """Finite box for the counterexample miner.
 
     Publications range over 1..pub_max per denominator year, citations
@@ -89,16 +101,17 @@ class SearchBounds:
     it only shifts labels, never values.
     """
 
-    n: int
-    pub_max: int
-    cit_max: int
-    k_max: int
-    target_year: int = 2000
-    s: int = 0
+    __match_args__ = ("n", "pub_max", "cit_max", "k_max", "target_year", "s")
 
-    def __post_init__(self):
-        if min(self.n, self.pub_max, self.k_max) < 1 or self.cit_max < 1:
-            raise ValueError("all bounds must be >= 1")
+    def __init__(self, n: int, pub_max: int, cit_max: int, k_max: int,
+                 target_year: int = 2000, s: int = 0):
+        values = (n, pub_max, cit_max, k_max, target_year, s)
+        for name, value in zip(self.__match_args__, values):
+            if fault := _integer_fault(value, name):
+                raise ValidationError(fault)
+        if min(n, pub_max, cit_max, k_max) < 1:
+            raise ValidationError("all bounds must be >= 1")
+        self.__dict__.update(zip(self.__match_args__, values))
 
 
 def check_z_consistency(scenario: PairScenario) -> Verdict:

@@ -12,10 +12,11 @@ All values are exact :class:`~impactz.ratio.Ratio` fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from math import prod
-from typing import Iterable, Mapping
+from operator import attrgetter
+from types import MappingProxyType
 
 from .ratio import Ratio
 
@@ -58,8 +59,52 @@ def _direction_fault(citing: Year, cited: Year) -> str | None:
             if citing < cited else None)
 
 
-@dataclass(frozen=True)
-class JournalData:
+class Record:
+    """Base of the immutable value records.
+
+    A subclass lists its fields, in ``__init__`` order, as
+    ``__match_args__`` (so ``match`` patterns work, as on a dataclass)
+    and stores them in an explicit ``__init__`` through
+    ``self.__dict__``.  The base then gives what a frozen
+    dataclass would: ``==`` between records of the same class with equal
+    fields, ``hash`` of the fields (a ``TypeError`` when one is a dict),
+    the ``Name(field=value, ...)`` repr, and an ``AttributeError`` on
+    assigning or deleting an attribute.  Instances keep their
+    ``__dict__``, so ``copy``, ``deepcopy`` and ``pickle`` work unchanged.
+    Nothing is generated at import.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_NO_COUNTS = MappingProxyType({})  # a read-only default; never stored
+
+
+class JournalData(Record):
     """Per-journal publication and citation counts.
 
     ``pubs`` maps publication year to article count; ``cits`` maps
@@ -70,30 +115,30 @@ class JournalData:
     breach raises :class:`ValidationError` naming the journal and key.
     """
 
-    journal_id: str
-    pubs: Mapping[Year, int] = field(default_factory=dict)
-    cits: Mapping[tuple[Year, Year], int] = field(default_factory=dict)
+    __match_args__ = ("journal_id", "pubs", "cits")
 
-    def __post_init__(self):
-        for year, count in self.pubs.items():
+    def __init__(self, journal_id: str,
+                 pubs: Mapping[Year, int] = _NO_COUNTS,
+                 cits: Mapping[tuple[Year, Year], int] = _NO_COUNTS):
+        for year, count in pubs.items():
             if fault := (_integer_fault(year, "year")
                          or _integer_fault(count, "count")
                          or _sign_fault(count, "publication")):
                 raise ValidationError(
-                    f"journal {self.journal_id!r}, pubs[{year!r}]: {fault}")
-        for (citing, cited), count in self.cits.items():
+                    f"journal {journal_id!r}, pubs[{year!r}]: {fault}")
+        for (citing, cited), count in cits.items():
             if fault := (_integer_fault(citing, "citing year")
                          or _integer_fault(cited, "cited year")
                          or _integer_fault(count, "count")
                          or _sign_fault(count, "citation")
                          or _direction_fault(citing, cited)):
                 raise ValidationError(
-                    f"journal {self.journal_id!r}, "
+                    f"journal {journal_id!r}, "
                     f"cits[{(citing, cited)!r}]: {fault}")
-        for name in ("pubs", "cits"):
-            object.__setattr__(self, name, {
-                key: count for key, count in getattr(self, name).items()
-                if count})
+        fields = self.__dict__
+        fields["journal_id"] = journal_id
+        fields["pubs"] = {year: count for year, count in pubs.items() if count}
+        fields["cits"] = {cell: count for cell, count in cits.items() if count}
 
 
 class IndicatorKind(Enum):
@@ -102,8 +147,7 @@ class IndicatorKind(Enum):
     DIACHRONOUS = "diachronous"
 
 
-@dataclass(frozen=True)
-class IndicatorSpec:
+class IndicatorSpec(Record):
     """Which indicator to compute: kind, window length n, target year.
 
     ``s`` selects whether the diachronous window includes the publication
@@ -111,38 +155,42 @@ class IndicatorSpec:
     the synchronous kinds.
     """
 
-    kind: IndicatorKind
-    n: int
-    target_year: Year
-    s: int = 0
+    __match_args__ = ("kind", "n", "target_year", "s")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"window length must be >= 1, got {self.n}")
-        if self.s not in (0, 1):
-            raise ValueError(f"s must be 0 or 1, got {self.s}")
-        if self.kind is not IndicatorKind.DIACHRONOUS and self.s != 0:
-            object.__setattr__(self, "s", 0)
+    def __init__(self, kind: IndicatorKind, n: int, target_year: Year,
+                 s: int = 0):
+        if fault := (_integer_fault(n, "window length")
+                     or _integer_fault(target_year, "target year")
+                     or _integer_fault(s, "s")):
+            raise ValidationError(fault)
+        if n < 1:
+            raise ValidationError(f"window length must be >= 1, got {n}")
+        if s not in (0, 1):
+            raise ValidationError(f"s must be 0 or 1, got {s}")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["n"] = n
+        fields["target_year"] = target_year
+        fields["s"] = s if kind is IndicatorKind.DIACHRONOUS else 0
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(Record):
     """Uncited publications to add: a list of (year, count) pairs.
 
     Duplicate years are allowed and sum.  Years and counts are ``int``
     and counts are strictly positive; the additions receive no citations.
     """
 
-    additions: tuple[tuple[Year, int], ...]
+    __match_args__ = ("additions",)
 
     def __init__(self, additions: Iterable[tuple[Year, int]]):
-        object.__setattr__(self, "additions", tuple(
-            (y, k) for y, k in additions))
-        for year, k in self.additions:
+        additions = tuple((y, k) for y, k in additions)
+        for year, k in additions:
             if fault := (_integer_fault(year, "year")
                          or _integer_fault(k, "count")
                          or (k <= 0 and f"count must be > 0, got {k}")):
                 raise ValidationError(f"injection {(year, k)!r}: {fault}")
+        self.__dict__["additions"] = additions
 
     @classmethod
     def single(cls, year: Year, k: int) -> "Injection":

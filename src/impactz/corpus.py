@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -30,6 +28,7 @@ from .core import (
     IndicatorSpec,
     Injection,
     JournalData,
+    Record,
     ValidationError,
     ZeroDenominator,
     _direction_fault,
@@ -50,35 +49,44 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Corpus:
-    journals: dict[str, JournalData]
-    provenance: str = ""
+class Corpus(Record):
+    __match_args__ = ("journals", "provenance")
 
-    def __post_init__(self):
-        for journal_id in self.journals:
+    def __init__(self, journals: dict[str, JournalData],
+                 provenance: str = ""):
+        for journal_id in journals:
             if not journal_id:
                 raise ValidationError("empty journal id")
+        fields = self.__dict__
+        fields["journals"] = journals
+        fields["provenance"] = provenance
 
 
-@dataclass(frozen=True)
-class RankingEntry:
-    journal_id: str
-    value: Ratio
-    rank: int
-    tied_with: tuple[str, ...] = ()
+class RankingEntry(Record):
+    __match_args__ = ("journal_id", "value", "rank", "tied_with")
+
+    def __init__(self, journal_id: str, value: Ratio, rank: int,
+                 tied_with: tuple[str, ...] = ()):
+        fields = self.__dict__
+        fields["journal_id"] = journal_id
+        fields["value"] = value
+        fields["rank"] = rank
+        fields["tied_with"] = tied_with
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(Record):
     """Ranked entries plus the journals that could not be evaluated."""
 
-    entries: tuple[RankingEntry, ...]
-    skipped: tuple[tuple[str, str], ...] = ()  # (journal_id, reason)
+    __match_args__ = ("entries", "skipped")
+
+    def __init__(self, entries: tuple[RankingEntry, ...],
+                 skipped: tuple[tuple[str, str], ...] = ()):
+        fields = self.__dict__
+        fields["entries"] = entries
+        fields["skipped"] = skipped  # (journal_id, reason)
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
+class SensitivityRow(Record):
     """How fragile an adjacent strict pair is to uncited additions.
 
     ``per_year_min_k`` maps each denominator year to the smallest common
@@ -86,10 +94,15 @@ class SensitivityRow:
     k <= k_max flips it.
     """
 
-    upper_id: str
-    lower_id: str
-    per_year_min_k: dict[int, int | None]
-    k_max: int
+    __match_args__ = ("upper_id", "lower_id", "per_year_min_k", "k_max")
+
+    def __init__(self, upper_id: str, lower_id: str,
+                 per_year_min_k: dict[int, int | None], k_max: int):
+        fields = self.__dict__
+        fields["upper_id"] = upper_id
+        fields["lower_id"] = lower_id
+        fields["per_year_min_k"] = per_year_min_k
+        fields["k_max"] = k_max
 
 
 _PUBS_HEADER = ["journal", "year", "pubs"]
@@ -223,6 +236,7 @@ def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
 
 def corpus_to_json(corpus: Corpus) -> str:
     """Canonical JSON: sorted keys, stable layout, byte-stable round-trip."""
+    import json
     doc = {"journals": {}}
     for journal_id in sorted(corpus.journals):
         data = corpus.journals[journal_id]
@@ -257,6 +271,7 @@ def _unique(pairs, where: str, what: str) -> dict:
 def corpus_from_json(text: str, provenance: str = "") -> Corpus:
     """Build a validated Corpus from :func:`corpus_to_json`'s layout;
     as in the CSV input, a repeated key is a hard error."""
+    import json
     try:
         doc = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:

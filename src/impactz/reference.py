@@ -6,22 +6,28 @@ setup (the ``verify-paper`` CLI command runs these).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .consistency import PairScenario, Verdict, VerdictTag, check_z_consistency
-from .core import IndicatorKind, IndicatorSpec, Injection, JournalData
+from .core import (IndicatorKind, IndicatorSpec, Injection, JournalData,
+                   Record)
 from .ratio import Ratio, to_decimal
 
 YEAR = 2000
 
 
-@dataclass(frozen=True)
-class ReferenceCase:
-    name: str
-    scenario: PairScenario
-    expected_before: tuple[Ratio, Ratio]
-    expected_after: tuple[Ratio, Ratio]
-    expected_decimals: tuple[str, str, str, str]  # before pair, after pair
+class ReferenceCase(Record):
+    __match_args__ = ("name", "scenario", "expected_before", "expected_after",
+                      "expected_decimals")
+
+    def __init__(self, name: str, scenario: PairScenario,
+                 expected_before: tuple[Ratio, Ratio],
+                 expected_after: tuple[Ratio, Ratio],
+                 expected_decimals: tuple[str, str, str, str]):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["scenario"] = scenario
+        fields["expected_before"] = expected_before
+        fields["expected_after"] = expected_after
+        fields["expected_decimals"] = expected_decimals  # before, after pairs
 
 
 def roa_case(year: int = YEAR) -> ReferenceCase:

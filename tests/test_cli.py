@@ -75,6 +75,17 @@ def test_compute_places_flag(table_1a_files):
     assert "3.000" in out
 
 
+def test_places_bound_is_inclusive_and_documented(table_1a_files, capsys):
+    pubs, cits = table_1a_files
+    code, out = invoke(["compute", "--pubs", pubs, "--cits", cits,
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y),
+                        "--places", "1000"])
+    assert code == 0
+    assert f"\t3.{'0' * 1000}\n" in out
+    assert invoke(["compute", "--help"]) == (0, "")
+    assert "(0 to 1000)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_rank(table_1a_files):
     pubs, cits = table_1a_files
     code, out = invoke(["rank", "--pubs", pubs, "--cits", cits,
@@ -130,6 +141,8 @@ def test_unknown_command_is_usage_error():
     ("mine", "--limit", "0"),
     ("mine", "--limit", "-1"),
     ("compute", "--places", "-1"),
+    ("compute", "--places", "1001"),
+    ("compute", "--places", "5000"),
     ("sensitivity", "--places", "-1"),
     ("rank", "-n", "0"),
     ("mine", "-n", "0"),
@@ -418,7 +431,7 @@ _FLAGS = {
     "--year": _value(["1999", "2000", "2001"], ["x"]),
     "-s": _value(["0", "1"], ["2"]),
     "--format": _value(["tsv", "json"], ["x"]),
-    "--places": _value(["0", "3"], ["-1"]),
+    "--places": _value(["0", "3"], ["-1", "5000"]),
     "--k-max": _SMALL,
     "--pub-max": _SMALL,
     "--cit-max": _SMALL,

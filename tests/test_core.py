@@ -9,6 +9,8 @@ from impactz import (
     Injection,
     JournalData,
     Ratio,
+    SearchBounds,
+    ValidationError,
     ZeroDenominator,
     apply_injection,
     cit_count,
@@ -194,6 +196,41 @@ def test_spec_validation():
         IndicatorSpec(IndicatorKind.SYNC_ROA, 0, Y)
     with pytest.raises(ValueError):
         IndicatorSpec(IndicatorKind.DIACHRONOUS, 2, Y, 2)
+
+
+_ROA, _DIA = IndicatorKind.SYNC_ROA, IndicatorKind.DIACHRONOUS
+
+
+@pytest.mark.parametrize("args, message", [
+    # every integer field follows the count rule: no float, str or bool
+    ((IndicatorSpec, _ROA, 2.0, Y),
+     "window length must be an integer, got 2.0"),
+    ((IndicatorSpec, _ROA, "2", Y),
+     "window length must be an integer, got '2'"),
+    ((IndicatorSpec, _ROA, True, Y),
+     "window length must be an integer, got True"),
+    ((IndicatorSpec, _ROA, 2, float(Y)),
+     "target year must be an integer, got 2000.0"),
+    ((IndicatorSpec, _DIA, 2, Y, True), "s must be an integer, got True"),
+    ((IndicatorSpec, _ROA, 2, Y, 1.0), "s must be an integer, got 1.0"),
+    ((SearchBounds, 2.5, 2, 2, 2), "n must be an integer, got 2.5"),
+    ((SearchBounds, 2, "2", 2, 2), "pub_max must be an integer, got '2'"),
+    ((SearchBounds, 2, 2, True, 2), "cit_max must be an integer, got True"),
+    ((SearchBounds, 2, 2, 2, 2.0), "k_max must be an integer, got 2.0"),
+    ((SearchBounds, 2, 2, 2, 2, "2000"),
+     "target_year must be an integer, got '2000'"),
+    ((SearchBounds, 2, 2, 2, 2, Y, False), "s must be an integer, got False"),
+    # the range rules keep their messages
+    ((IndicatorSpec, _ROA, 0, Y), "window length must be >= 1, got 0"),
+    ((IndicatorSpec, _DIA, 2, Y, 2), "s must be 0 or 1, got 2"),
+    ((SearchBounds, 2, 2, 0, 2), "all bounds must be >= 1"),
+    ((SearchBounds, 0, 2, 2, 2), "all bounds must be >= 1"),
+])
+def test_spec_and_bounds_integer_rule(args, message):
+    cls, *values = args
+    with pytest.raises(ValidationError) as exc_info:
+        cls(*values)
+    assert str(exc_info.value) == message
 
 
 def test_denominator_years():

@@ -126,6 +126,7 @@ def test_record_value_contract(cls, fields, text, hashable):
     assert record == cls(*fields().values())
     assert record != tuple(kwargs.values())
     assert repr(record) == text
+    assert cls.__match_args__ == tuple(kwargs)  # positional match patterns
     for name, value in kwargs.items():
         assert getattr(record, name) == value
     if hashable:
@@ -165,7 +166,8 @@ def test_journal_default_dicts_are_not_shared():
 
 
 def test_defaults_match_keyword_construction():
-    assert IndicatorSpec(IndicatorKind.SYNC_ROA, 2, Y) == IndicatorSpec(**_SPEC)
+    assert IndicatorSpec(IndicatorKind.SYNC_ROA, 2, Y) == IndicatorSpec(
+        **_SPEC)
     assert SearchBounds(2, 3, 4, 5) == SearchBounds(
         n=2, pub_max=3, cit_max=4, k_max=5, target_year=2000, s=0)
     assert Corpus({}) == Corpus(journals={}, provenance="")
