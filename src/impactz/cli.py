@@ -2,13 +2,16 @@
 sensitivity, mine reversal counterexamples, and verify the built-in
 reference tables.
 
-Exit codes: 0 success, 1 data/validation errors, 2 usage errors.
+Exit codes: 0 success, 1 data/validation errors, 2 usage errors.  A
+reader that closes stdout early (``impactz mine ... | head -1``) ends the
+run with exit 1 and nothing on stderr.
 All output is byte-deterministic for a given input and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
@@ -33,7 +36,7 @@ def _int_in_range(low: int, high: int | None = None):
 
 
 _positive = _int_in_range(1)
-_MAX_PLACES = 1000  # well under the 4300-digit limit of int-to-str
+_MAX_PLACES = 1000  # bounds the digits that each printed value can take
 _places = _int_in_range(0, _MAX_PLACES)
 
 
@@ -226,7 +229,16 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        if out is sys.stdout:
+            out.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the SIGPIPE note in the Python docs advises: send the rest to
+        # devnull, so the flush at exit cannot fail again, and say nothing
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except (OSError, ValueError) as exc:  # every data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

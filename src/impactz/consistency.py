@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import islice, product
 from math import isqrt, lcm
@@ -119,7 +118,9 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     pair's ordering.  Comparisons are exact; there is no tolerance.
 
     Both journals' window counts are read once; "after" evaluates the
-    same counts with the injection's publications added per year.
+    same counts with the injection's publications added per year.  The
+    tag follows the signs of the cross-multiplied integer gaps; the
+    ``Ratio`` values are built only for the verdict.
     """
     spec = scenario.spec
     years, cells = window(spec)
@@ -137,16 +138,18 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
                 raise ZeroDenominator(
                     f"{exc} ({phase} injection)", year=exc.year,
                     journal=journal_id) from exc
-    before, after = (values[0], values[1]), (values[2], values[3])
-    if before[0] == before[1]:
+    (nl, dl), (nr, dr), (nl_k, dl_k), (nr_k, dr_k) = values
+    before, after = nl * dr - nr * dl, nl_k * dr_k - nr_k * dl_k
+    if not before:
         tag = VerdictTag.TIE_BEFORE
-    elif after[0] == after[1]:
+    elif not after:
         tag = VerdictTag.TIE_AFTER
-    elif (before[0] < before[1]) != (after[0] < after[1]):
+    elif (before < 0) != (after < 0):
         tag = VerdictTag.REVERSED
     else:
         tag = VerdictTag.PRESERVED
-    return Verdict(tag, before, after)
+    ratios = [Ratio(*pair) for pair in values]
+    return Verdict(tag, tuple(ratios[:2]), tuple(ratios[2:]))
 
 
 def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
@@ -178,54 +181,41 @@ def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
     return (lo, hi) if lo <= hi else None
 
 
-def _coefficients(a: int, b: int, p_l: int, c_l: int,
-                  p_r: int, c_r: int) -> tuple[int, int, int]:
-    """The coefficients of the polynomial Q of :func:`reversal_threshold`
-    for ``other`` = a/b (b > 0) and the counts that k moves; a = 0 gives
-    the linear Q of the totals-based kinds."""
-    return (a, a * (p_l + p_r) + b * (c_l - c_r),
-            a * p_l * p_r + b * (c_l * p_r - c_r * p_l))
-
-
 def reversal_threshold(left: JournalData, right: JournalData,
                        spec: IndicatorSpec, year: int) -> int | None:
     """Exact smallest k >= 1 whose uncited injection of k publications at
     ``year`` into both journals strictly reverses their ordering; None if
     no k ever does.  An exact tie after injection is not a reversal.
 
-    Multiplying (left - right) after injecting k by its positive common
-    denominator gives an integer polynomial Q(k) with Q(0) != 0; the
-    answer is the first k >= 1 where Q's sign is strictly opposite to
-    Q(0)'s.  For sync-aor, with a/b (b > 0) the share of n*(left - right)
-    from the years other than ``year`` and p, c that year's counts, Q is
-    the quadratic a*(p_L + k)*(p_R + k) + b*(c_L*(p_R + k) - c_R*(p_L + k)).
-    The totals-based kinds (value C/P) are the linear case a/b = 0, with
-    p, c the window's total publications and citations.
+    The miner's integer form, for one pair: oriented so that left <
+    right, each journal's window counts become a value and per-year
+    (other, p, c) terms through :func:`_terms`, over ``den`` the lcm of
+    the pair's divisors (each year's publications for sync-aor, the
+    window totals otherwise).  The answer is the first k of the window
+    that :func:`_reversing_ks` solves from the two terms of ``year``.
     """
     years, cells = window(spec)
     if year not in years:
         raise InvalidTargetYear(
             f"year {year} is not a denominator year for "
             f"{spec.kind.value} n={spec.n} at {spec.target_year}")
-    counts = [(data.journal_id, *_window_counts(data, years, cells))
-              for data in (left, right)]
-    before_left, before_right = (_evaluate(journal_id, spec, years, pubs, cits)
-                                 for journal_id, pubs, cits in counts)
-    if before_left == before_right:
+    counts = [_window_counts(data, years, cells) for data in (left, right)]
+    (nl, dl), (nr, dr) = (_evaluate(data.journal_id, spec, years, *count)
+                          for data, count in zip((left, right), counts))
+    if nl * dr == nr * dl:
         raise PreconditionViolated(
             f"no strict ordering between {left.journal_id} and "
             f"{right.journal_id} before injection")
+    if nl * dr > nr * dl:
+        counts.reverse()
     aor = spec.kind is IndicatorKind.SYNC_AOR
-    # k moves only the injection year's own rate under sync-aor, whose
-    # cells pair one-to-one with the years
+    # sync-aor divides by each year's count, the other kinds by the total
+    den = lcm(*(p for pubs, _ in counts
+                for p in (pubs if aor else [sum(pubs)])))
     j = years.index(year)
-    (p_l, c_l), (p_r, c_r) = ((pubs[j], cits[j]) if aor
-                              else (sum(pubs), sum(cits))
-                              for _, pubs, cits in counts)
-    other = (spec.n * (before_left - before_right)
-             - Fraction(c_l, p_l) + Fraction(c_r, p_r)) if aor else 0
-    reversing = _reversal_window(*_coefficients(
-        other.numerator, other.denominator, p_l, c_l, p_r, c_r))
+    (_, terms_l), (_, terms_r) = (_terms(aor, den, pubs, cits)
+                                  for pubs, cits in counts)
+    reversing = _reversing_ks(den, terms_l[j], terms_r[j])
     return None if reversing is None else reversing[0]
 
 
@@ -312,43 +302,62 @@ def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
                        dict(zip(cells, cits_vec)))
 
 
-def _reversing_ks(den: int, k_max: int, left_term: tuple[int, int, int],
-                  right_term: tuple[int, int, int]) -> range:
-    """The k in 1..k_max at which injecting k publications in one year
-    reverses a pair with left < right, from each side's (other, p, c) for
-    that year with ``other`` over ``den``; empty when no k does.
+def _terms(aor: bool, den: int, pubs, cits
+           ) -> tuple[int, list[tuple[int, int, int]]]:
+    """One (pubs, cits) vector's value times ``den`` (a multiple of every
+    divisor it uses) and, per denominator year, the (other, p, c) that
+    :func:`_reversing_ks` reads, ``other`` also times ``den``.
 
-    After k, left - right has the sign of (other_L - other_R)/den
-    + c_L/(p_L + k) - c_R/(p_R + k).  With other_L <= other_R a flip
-    needs c_L/(p_L + k) > c_R/(p_R + k) although c_L/p_L - c_R/p_R was
-    below other_R - other_L; each term keeps p/(p + k) of itself, a
-    share that grows with p, so that needs p_L > p_R and then c_L > c_R.
-    Other pair-years are dropped before the exact
-    :func:`_reversal_window` is solved.
+    For sync-aor the value is n times the indicator, ``other`` the other
+    years' share of it, and p, c that year's counts; k moves only that
+    year's rate.  For the totals-based kinds (value C/P) ``other`` is 0
+    and p, c are the window totals.
+    """
+    if aor:
+        rates = [c * (den // p) for p, c in zip(pubs, cits)]
+        value = sum(rates)
+        return value, [(value - rate, p, c)
+                       for rate, p, c in zip(rates, pubs, cits)]
+    p, c = sum(pubs), sum(cits)
+    return c * (den // p), [(0, p, c)] * len(pubs)
+
+
+def _reversing_ks(den: int, left_term: tuple[int, int, int],
+                  right_term: tuple[int, int, int]
+                  ) -> tuple[int, int | None] | None:
+    """The :func:`_reversal_window` of the k >= 1 at which injecting k
+    publications in one year reverses a pair with left < right, from
+    each side's :func:`_terms` for that year; None when no k does.
+
+    After k, the gap between the two :func:`_terms` values (a positive
+    multiple of left - right) times (p_L + k)*(p_R + k) is the integer
+    polynomial Q(k) = a*(p_L + k)*(p_R + k) + den*(c_L*(p_R + k)
+    - c_R*(p_L + k)), with a = other_L - other_R; a = 0 is the linear
+    case of the totals-based kinds.  Q(0) < 0, and k reverses the pair
+    where Q(k) > 0.
+
+    With a <= 0 a flip needs c_L/(p_L + k) > c_R/(p_R + k) although
+    c_L/p_L - c_R/p_R was below -a/den; each term keeps p/(p + k) of
+    itself, a share that grows with p, so that needs p_L > p_R and then
+    c_L > c_R.  Other pair-years are dropped before Q is solved.
     """
     (other_l, p_l, c_l), (other_r, p_r, c_r) = left_term, right_term
-    if other_l <= other_r and not (p_l > p_r and c_l > c_r):
-        return range(0)
-    reversing = _reversal_window(*_coefficients(
-        other_l - other_r, den, p_l, c_l, p_r, c_r))
-    if reversing is None:
-        return range(0)
-    lo, hi = reversing
-    return range(lo, (k_max if hi is None else min(hi, k_max)) + 1)
+    a = other_l - other_r
+    if a <= 0 and not (p_l > p_r and c_l > c_r):
+        return None
+    return _reversal_window(a, a * (p_l + p_r) + den * (c_l - c_r),
+                            a * p_l * p_r + den * (c_l * p_r - c_r * p_l))
 
 
 def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                     equal_pubs: bool) -> Iterator[PairScenario]:
     """The reversing scenarios of the box, in canonical order.
 
-    One integer table serves every kind.  Each (pubs, cits) vector gets
-    its value times ``den``, the lcm of every denominator the box can
-    produce, and per injection year the (other, p, c) of the polynomial
-    of :func:`reversal_threshold`, ``other`` also times ``den``: for
-    sync-aor the other years' share of n*value and that year's counts,
-    for the totals-based kinds 0 and the window totals.  Each oriented
-    pair (left < right) and injection year then yields the k of
-    :func:`_reversing_ks`, so no k is tried that does not reverse.
+    One integer table serves every kind: each (pubs, cits) vector's
+    :func:`_terms` over ``den``, the lcm of every divisor the box can
+    produce.  Each oriented pair (left < right) and injection year then
+    yields the k of the :func:`_reversing_ks` window, clipped to
+    ``k_max``, so no k is tried that does not reverse.
 
     The table is built one publication vector at a time, on first use.
     As other_R >= 0, by :func:`_reversing_ks` a left whose other shares
@@ -357,7 +366,7 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     years, cells = window(spec)
-    aor = kind is IndicatorKind.SYNC_AOR
+    aor, k_max = kind is IndicatorKind.SYNC_AOR, bounds.k_max
     # sync-aor divides by one year's count, the other kinds by the total
     den = lcm(*range(1, bounds.pub_max * (1 if aor else len(years)) + 1))
     pub_vecs = list(product(range(1, bounds.pub_max + 1), repeat=len(years)))
@@ -367,18 +376,7 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
 
     @cache
     def table(p):  # [(cits, value, per-year (other, p, c))] in cits order
-        rows = []
-        for c in cit_vecs:
-            if aor:
-                rates = [cj * (den // pj) for pj, cj in zip(p, c)]
-                value = sum(rates)
-                terms = [(value - rate, pj, cj)
-                         for rate, pj, cj in zip(rates, p, c)]
-            else:
-                value = sum(c) * (den // sum(p))
-                terms = [(0, sum(p), sum(c))] * len(years)
-            rows.append((c, value, terms))
-        return rows
+        return [(c, *_terms(aor, den, p, c)) for c in cit_vecs]
 
     for lp in pub_vecs:
         rights = [lp] if equal_pubs else pub_vecs
@@ -391,13 +389,13 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                         continue  # canonical orientation: left < right
                     runs = [(year, ks) for year, term_l, term_r
                             in zip(years, terms_l, terms_r)
-                            if (ks := _reversing_ks(den, bounds.k_max,
-                                                    term_l, term_r))]
+                            if (ks := _reversing_ks(den, term_l, term_r))
+                            and ks[0] <= k_max]
                     if not runs:
                         continue
                     left = _journal("L", years, lp, cells, lc)
                     right = _journal("R", years, rp, cells, rc)
-                    for inj_year, ks in runs:
-                        for k in ks:
+                    for inj_year, (lo, hi) in runs:
+                        for k in range(lo, min(hi or k_max, k_max) + 1):
                             yield PairScenario(left, right, spec,
                                                Injection.single(inj_year, k))

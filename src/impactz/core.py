@@ -230,8 +230,8 @@ def window(spec: IndicatorSpec
 def compute(data: JournalData, spec: IndicatorSpec) -> Ratio:
     """Evaluate the indicator over its :func:`window`."""
     years, cells = window(spec)
-    return _evaluate(data.journal_id, spec, years,
-                     *_window_counts(data, years, cells))
+    return Ratio(*_evaluate(data.journal_id, spec, years,
+                            *_window_counts(data, years, cells)))
 
 
 def _window_counts(data: JournalData, years, cells) -> tuple[list, list]:
@@ -241,13 +241,14 @@ def _window_counts(data: JournalData, years, cells) -> tuple[list, list]:
 
 
 def _evaluate(journal_id: str, spec: IndicatorSpec, years: tuple[Year, ...],
-              pubs: list[int], cits: list[int]) -> Ratio:
+              pubs: list[int], cits: list[int]) -> tuple[int, int]:
     """The indicator from the window's counts: ``pubs`` per denominator
     year and ``cits`` per citation cell, both in :func:`window` order.
 
-    Sync-aor is the mean of the per-year citation rates, summed over one
-    common denominator; the other two kinds are total citations over
-    total publications.
+    The value is an unreduced integer pair (num, den), den > 0.  Sync-aor
+    is the mean of the per-year citation rates, summed over one common
+    denominator; the other two kinds are total citations over total
+    publications.
     """
     if spec.kind is IndicatorKind.SYNC_ROA:
         if not any(pubs):
@@ -261,9 +262,9 @@ def _evaluate(journal_id: str, spec: IndicatorSpec, years: tuple[Year, ...],
             year=empty, journal=journal_id)
     if spec.kind is IndicatorKind.SYNC_AOR:
         common = prod(pubs)
-        return Ratio(sum(c * (common // p) for c, p in zip(cits, pubs)),
-                     spec.n * common)
-    return Ratio(sum(cits), sum(pubs))
+        return (sum(c * (common // p) for c, p in zip(cits, pubs)),
+                spec.n * common)
+    return sum(cits), sum(pubs)
 
 
 def sync_if_roa(data: JournalData, year: Year, n: int) -> Ratio:

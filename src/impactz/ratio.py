@@ -34,9 +34,20 @@ class Ratio(Fraction):
         return f"Ratio({self.numerator}, {self.denominator})"
 
 
+def _long_str(n: int) -> str:
+    """``str(n)`` for an int past CPython's int-to-str digit limit, which
+    ``str`` refuses with a ``ValueError``; ``Decimal`` converts exactly
+    and leaves the interpreter's limit alone."""
+    import decimal
+    return str(decimal.Decimal(n))
+
+
 def format_exact(r: Fraction) -> str:
     """Render as ``num/den``, always with an explicit denominator."""
-    return f"{r.numerator}/{r.denominator}"
+    try:
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:  # past the digit limit
+        return f"{_long_str(r.numerator)}/{_long_str(r.denominator)}"
 
 
 def to_decimal(r: Fraction, places: int = 2) -> str:
@@ -50,7 +61,11 @@ def to_decimal(r: Fraction, places: int = 2) -> str:
     q, rem = divmod(scaled, r.denominator)
     if 2 * rem >= r.denominator:
         q += 1
+    try:
+        digits = str(q)
+    except ValueError:  # past the digit limit
+        digits = _long_str(q)
     if places == 0:
-        return str(q)
-    digits = str(q).rjust(places + 1, "0")
+        return digits
+    digits = digits.rjust(places + 1, "0")
     return f"{digits[:-places]}.{digits[-places:]}"

@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import impactz
 from impactz import (
     IndicatorKind,
     SearchBounds,
@@ -73,6 +78,26 @@ def test_compute_places_flag(table_1a_files):
                         "--places", "3"])
     assert code == 0
     assert "3.000" in out
+
+
+def test_compute_prints_values_past_the_int_digit_limit(tmp_path):
+    # 4300 nines is the longest count int() reads by default; two of them
+    # over 7 publications give a 4301-digit numerator, and a 4300-digit
+    # integer part that --places 2 scales to 4302 digits
+    nines = "9" * 4300
+    pubs, cits = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+    pubs.write_text(f"journal,year,pubs\nJ,{Y - 1},3\nJ,{Y - 2},4\n")
+    cits.write_text("journal,citing_year,cited_year,count\n"
+                    f"J,{Y},{Y - 1},{nines}\nJ,{Y},{Y - 2},{nines}\n")
+    code, out = invoke(["compute", "--pubs", str(pubs), "--cits", str(cits),
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert code == 0
+    num = "1" + "9" * 4299 + "8"  # 2 * (10**4300 - 1), as digits
+    with localcontext() as ctx:
+        ctx.prec = 5000
+        decimal = (Decimal(num) / 7).quantize(Decimal("0.01"),
+                                              rounding=ROUND_HALF_UP)
+    assert out == f"J\t{num}/7\t{decimal}\n"
 
 
 def test_places_bound_is_inclusive_and_documented(table_1a_files, capsys):
@@ -397,6 +422,39 @@ def test_mine_memory_does_not_grow_with_limit(fmt):
     large, large_size = _traced_peak(_mine_argv(*box, 10**6, fmt))
     assert large_size > 100 * small_size
     assert large - small < 1024 * 1024, (small, large)
+
+
+# --- closed stdout -------------------------------------------------------------
+
+def _run_with_closed_stdout(argv, lines_read):
+    """Run the CLI in a fresh process whose stdout reader reads
+    ``lines_read`` lines and then closes the pipe, as ``| head`` does."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}  # stdout block-buffered, as usual
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    reader = open(read_end, "rb")
+    if not lines_read:
+        reader.close()  # before the process starts, so no write can land
+    with subprocess.Popen([sys.executable, "-m", "impactz.cli", *argv],
+                          stdout=write_end, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        os.close(write_end)
+        for _ in range(lines_read):
+            reader.readline()
+        reader.close()
+        stderr = proc.stderr.read()
+    return proc.returncode, stderr
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # | head -1 on a run that writes far more than a pipe buffer holds
+    (_mine_argv("sync-aor", 2, 4, 8, 4, 5000, "tsv"), 1),
+    # a reader gone before the first byte: the flush itself fails
+    (["verify-paper"], 0),
+])
+def test_closed_stdout_is_exit_one_and_silent(argv, lines_read):
+    assert _run_with_closed_stdout(argv, lines_read) == (1, b"")
 
 
 # --- exit-code fuzz -----------------------------------------------------------

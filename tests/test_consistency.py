@@ -299,6 +299,7 @@ def test_min_reversal_k_matches_scan_oracle(pair):
         assert min_reversal_k(left, right, spec, year, k_max) \
             == (flips[0] if flips else None)
         k = reversal_threshold(left, right, spec, year)
+        assert k == reversal_threshold(right, left, spec, year)
         if k is not None:
             assert _flips(left, right, spec, year, k)
             assert k == 1 or not _flips(left, right, spec, year, k - 1)
