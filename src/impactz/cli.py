@@ -111,10 +111,11 @@ def _cell(value, places: int) -> dict[str, str]:
     return {"exact": format_exact(value), "decimal": to_decimal(value, places)}
 
 
-def _emit(rows, columns: list[str], fmt: str, out) -> None:
-    """Write each row of the iterable as soon as it arrives.  JSON output
-    is byte-identical to ``json.dump(list(rows), out, indent=2)`` and a
-    newline; the array framing is written here, one row at a time."""
+def _emit(rows, fmt: str, out) -> None:
+    """Write each row of the iterable as soon as it arrives, its columns
+    in the row dict's order.  JSON output is byte-identical to
+    ``json.dump(list(rows), out, indent=2)`` and a newline; the array
+    framing is written here, one row at a time."""
     if fmt == "json":
         import json
         sep = "[\n  "
@@ -124,7 +125,7 @@ def _emit(rows, columns: list[str], fmt: str, out) -> None:
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
     else:
         for row in rows:
-            out.write("\t".join(str(row[col]) for col in columns) + "\n")
+            out.write("\t".join(map(str, row.values())) + "\n")
 
 
 def _load(args):
@@ -142,7 +143,7 @@ def _cmd_compute(args, out) -> int:
     values, skipped = _values(_load(args), _spec_from_args(args))
     rows = [{"journal": journal_id, **_cell(value, args.places)}
             for journal_id, value in values]
-    _emit(rows, ["journal", "exact", "decimal"], args.format, out)
+    _emit(rows, args.format, out)
     _warn_skipped(skipped)
     return 0
 
@@ -151,7 +152,7 @@ def _cmd_rank(args, out) -> int:
     ranking = rank(_load(args), _spec_from_args(args))
     rows = [{"rank": entry.rank, "journal": entry.journal_id,
              **_cell(entry.value, args.places)} for entry in ranking.entries]
-    _emit(rows, ["rank", "journal", "exact", "decimal"], args.format, out)
+    _emit(rows, args.format, out)
     _warn_skipped(ranking.skipped)
     return 0
 
@@ -168,7 +169,7 @@ def _cmd_sensitivity(args, out) -> int:
             rows.append({"upper": row.upper_id, "lower": row.lower_id,
                          "year": year,
                          "min_k": "-" if k is None else k})
-    _emit(rows, ["upper", "lower", "year", "min_k"], args.format, out)
+    _emit(rows, args.format, out)
     _warn_skipped(ranking.skipped)
     return 0
 
@@ -179,9 +180,7 @@ def _cmd_mine(args, out) -> int:
                           target_year=args.year, s=args.s)
     witnesses = islice(iter_counterexamples(_KINDS[args.kind], bounds),
                        args.limit)
-    _emit(_mine_rows(witnesses), ["left_pubs", "left_cits", "right_pubs",
-                                  "right_cits", "inject_year", "k", "before",
-                                  "after"], args.format, out)
+    _emit(_mine_rows(witnesses), args.format, out)
     return 0
 
 

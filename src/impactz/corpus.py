@@ -50,16 +50,20 @@ class ParseError(ValueError):
 
 
 class Corpus(Record):
-    __match_args__ = ("journals", "provenance")
+    """Journals by id.  An id is non-empty and holds no tab and no
+    character that ``str.splitlines()`` breaks at, so each journal's TSV
+    row and warning line stay one line with their columns."""
 
-    def __init__(self, journals: dict[str, JournalData],
-                 provenance: str = ""):
+    __match_args__ = ("journals",)
+
+    def __init__(self, journals: dict[str, JournalData]):
         for journal_id in journals:
             if not journal_id:
                 raise ValidationError("empty journal id")
-        fields = self.__dict__
-        fields["journals"] = journals
-        fields["provenance"] = provenance
+            if "\t" in journal_id or journal_id.splitlines() != [journal_id]:
+                raise ValidationError(
+                    f"journal id {journal_id!r} holds a tab or line break")
+        self.__dict__["journals"] = journals
 
 
 class RankingEntry(Record):
@@ -122,7 +126,8 @@ def _csv_errors(reader):
 def _csv_body(source, header: list[str]):
     """A ``csv.reader`` past the checked header of a file object, an
     ``os.PathLike`` path, or a ``str`` of CSV text (a ``str`` is never a
-    path)."""
+    path).  A leading UTF-8 byte-order mark, as spreadsheet programs
+    write, is dropped."""
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, os.PathLike):
@@ -130,7 +135,7 @@ def _csv_body(source, header: list[str]):
             text = fh.read()
     else:
         text = source
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     with _csv_errors(reader):
         got = next(reader, None)
     if got is not None and [cell.strip() for cell in got] != header:
@@ -163,12 +168,14 @@ def _slow_row(line: int, row: list[str], header: list[str]
     return values
 
 
-def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
+def load_corpus(pubs_source, cits_source) -> Corpus:
     """Build a validated Corpus from publication and citation CSVs.
 
     Each source is a file object, an ``os.PathLike`` path, or a ``str``
-    of CSV text; a ``str`` is never opened as a path.  Journals present
-    in only one file get zero counts for the other side.
+    of CSV text; a ``str`` is never opened as a path, and a leading
+    byte-order mark is dropped.  Journals present in only one file get
+    zero counts for the other side.  A journal id follows the
+    :class:`Corpus` rule.
 
     Every cell is read stripped of surrounding whitespace, and blank or
     whitespace-only rows are skipped.  ``line N`` in an error counts CSV
@@ -231,7 +238,7 @@ def load_corpus(pubs_source, cits_source, provenance: str = "") -> Corpus:
                                 cits.get(journal_id, {}))
         for journal_id in sorted(set(pubs) | set(cits))
     }
-    return Corpus(journals, provenance)
+    return Corpus(journals)
 
 
 def corpus_to_json(corpus: Corpus) -> str:
@@ -268,9 +275,10 @@ def _unique(pairs, where: str, what: str) -> dict:
     return out
 
 
-def corpus_from_json(text: str, provenance: str = "") -> Corpus:
+def corpus_from_json(text: str) -> Corpus:
     """Build a validated Corpus from :func:`corpus_to_json`'s layout;
-    as in the CSV input, a repeated key is a hard error."""
+    as in the CSV input, a repeated key is a hard error and a journal id
+    follows the :class:`Corpus` rule."""
     import json
     try:
         doc = json.loads(text, object_pairs_hook=_JsonObject)
@@ -304,7 +312,7 @@ def corpus_from_json(text: str, provenance: str = "") -> Corpus:
         except ValueError as exc:  # a year over sys.get_int_max_str_digits()
             raise ValidationError(f"{where}: {exc}") from None
         journals[journal_id] = JournalData(journal_id, pubs, cits)
-    return Corpus(journals, provenance)
+    return Corpus(journals)
 
 
 def _values(corpus: Corpus, spec: IndicatorSpec

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 
 class Ratio(Fraction):
-    """A canonical reduced fraction with num >= 0 and den > 0.
+    """A canonical reduced fraction, numerator >= 0 and denominator > 0.
 
     Inherits exact comparison from Fraction (cross-multiplication on big
     integers), so ordering never loses precision.
@@ -21,14 +21,6 @@ class Ratio(Fraction):
         if self.numerator < 0:
             raise ValueError(f"Ratio must be non-negative, got {self}")
         return self
-
-    @property
-    def num(self) -> int:
-        return self.numerator
-
-    @property
-    def den(self) -> int:
-        return self.denominator
 
     def __repr__(self) -> str:
         return f"Ratio({self.numerator}, {self.denominator})"

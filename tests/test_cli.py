@@ -262,6 +262,32 @@ def test_bad_data_is_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("journal_id", ["J\tK", "L\nM"])
+def test_journal_id_that_breaks_a_row_is_exit_one(tmp_path, capsys,
+                                                  journal_id):
+    pubs = tmp_path / "pubs.csv"
+    cits = tmp_path / "cits.csv"
+    pubs.write_text(f'journal,year,pubs\nJ,1999,1\n"{journal_id}",1999,1\n')
+    cits.write_text("journal,citing_year,cited_year,count\n")
+    code, out = invoke(["compute", "--pubs", str(pubs), "--cits", str(cits),
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: journal id {journal_id!r} holds a tab or line break\n")
+
+
+def test_byte_order_mark_prints_the_same(tmp_path, table_1a_files):
+    pubs = tmp_path / "bom_pubs.csv"
+    cits = tmp_path / "bom_cits.csv"
+    pubs.write_text("\ufeff" + PUBS_1A, encoding="utf-8")
+    cits.write_text("\ufeff" + CITS_1A, encoding="utf-8")
+    spec = ["--kind", "sync-roa", "-n", "2", "--year", str(Y)]
+    plain_pubs, plain_cits = table_1a_files
+    assert invoke(["compute", "--pubs", str(pubs), "--cits", str(cits),
+                   *spec]) == invoke(["compute", "--pubs", plain_pubs,
+                                      "--cits", plain_cits, *spec])
+
+
 def test_missing_file_is_exit_one(tmp_path):
     code, _ = invoke(["compute", "--pubs", str(tmp_path / "nope.csv"),
                       "--cits", str(tmp_path / "nope2.csv"),

@@ -124,6 +124,44 @@ def test_malformed_rows_raise_parse_error():
                     + ",3\n", "journal,citing_year,cited_year,count\n")
 
 
+@pytest.mark.parametrize("journal_id", [
+    "J\tK", "L\nM", "J\r\nK", "J\rK", "J\x0bK", "J\x0cK", "J\x1cK",
+    "J\x1eK", "J\x85K", "J\u2028K", "J\u2029K"])
+def test_journal_id_with_tab_or_line_break_is_refused(journal_id):
+    # one rule for CSV, JSON and direct construction: each id must stay
+    # one TSV cell on one line
+    doc = json.dumps({"journals": {journal_id: {"pubs": {}, "cits": []}}})
+    routes = {
+        "csv": lambda: load_corpus(f'journal,year,pubs\n"{journal_id}",1,1\n',
+                                   ""),
+        "json": lambda: corpus_from_json(doc),
+        "direct": lambda: Corpus({journal_id: JournalData(journal_id)}),
+    }
+    for route, load in routes.items():
+        with pytest.raises(ValidationError) as exc_info:
+            load()
+        assert str(exc_info.value) == (
+            f"journal id {journal_id!r} holds a tab or line break"), route
+
+
+def test_journal_id_may_hold_other_separators():
+    ids = ["J K", "J\x1fK", "J\u3000K", "a,b"]
+    assert list(Corpus({i: JournalData(i) for i in ids}).journals) == ids
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    plain = load_corpus(PUBS_1A, CITS_1A)
+    pubs, cits = "\ufeff" + PUBS_1A, "\ufeff" + CITS_1A
+    pubs_path, cits_path = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+    pubs_path.write_text(pubs, encoding="utf-8")
+    cits_path.write_text(cits, encoding="utf-8")
+    assert load_corpus(pubs_path, cits_path) == plain
+    assert load_corpus(io.StringIO(pubs), io.StringIO(cits)) == plain
+    assert load_corpus(pubs, cits) == plain
+    with pytest.raises(ParseError, match="line 1: expected header"):
+        load_corpus("\ufeff" + pubs, cits)  # only a single mark is dropped
+
+
 # --- JSON round-trip --------------------------------------------------------
 
 def test_json_round_trip_identical():

@@ -8,7 +8,7 @@ from impactz.ratio import Ratio, format_exact, to_decimal
 
 def test_canonical_reduction():
     r = Ratio(60, 45)
-    assert (r.num, r.den) == (4, 3)
+    assert (r.numerator, r.denominator) == (4, 3)
     assert Ratio(0, 7) == Ratio(0)
     assert Ratio(120, 85) == Ratio(24, 17)
 

@@ -23,7 +23,6 @@ from impactz import (
     Verdict,
     VerdictTag,
 )
-from impactz.reference import ReferenceCase
 
 from conftest import Y
 
@@ -83,9 +82,9 @@ RECORDS = [
      lambda: dict(n=2, pub_max=3, cit_max=4, k_max=5, target_year=Y, s=1),
      "SearchBounds(n=2, pub_max=3, cit_max=4, k_max=5, target_year=2000, "
      "s=1)", True),
-    (Corpus, lambda: dict(journals={"J": _journal()}, provenance="t.csv"),
+    (Corpus, lambda: dict(journals={"J": _journal()}),
      "Corpus(journals={'J': JournalData(journal_id='J', pubs={1999: 2}, "
-     "cits={(2000, 1999): 3})}, provenance='t.csv')", False),
+     "cits={(2000, 1999): 3})})", False),
     (RankingEntry,
      lambda: dict(journal_id="J", value=Ratio(1, 2), rank=1,
                   tied_with=("K",)),
@@ -101,20 +100,6 @@ RECORDS = [
                   per_year_min_k={Y - 2: None, Y - 1: 3}, k_max=10),
      "SensitivityRow(upper_id='A', lower_id='B', "
      "per_year_min_k={1998: None, 1999: 3}, k_max=10)", False),
-    (ReferenceCase,
-     lambda: dict(name="case", scenario=_scenario(),
-                  expected_before=(Ratio(3), Ratio(2)),
-                  expected_after=(Ratio(4, 3), Ratio(1)),
-                  expected_decimals=("3.00", "2.00", "1.33", "1.00")),
-     "ReferenceCase(name='case', scenario=PairScenario(left=JournalData("
-     "journal_id='L', pubs={1999: 2}, cits={(2000, 1999): 3}), "
-     "right=JournalData(journal_id='R', pubs={1999: 2}, "
-     "cits={(2000, 1999): 3}), spec=IndicatorSpec("
-     "kind=<IndicatorKind.SYNC_ROA: 'sync-roa'>, n=2, target_year=2000, "
-     "s=0), injection=Injection(additions=((1999, 5),))), "
-     "expected_before=(Ratio(3, 1), Ratio(2, 1)), "
-     "expected_after=(Ratio(4, 3), Ratio(1, 1)), "
-     "expected_decimals=('3.00', '2.00', '1.33', '1.00'))", False),
 ]
 _IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -170,7 +155,6 @@ def test_defaults_match_keyword_construction():
         **_SPEC)
     assert SearchBounds(2, 3, 4, 5) == SearchBounds(
         n=2, pub_max=3, cit_max=4, k_max=5, target_year=2000, s=0)
-    assert Corpus({}) == Corpus(journals={}, provenance="")
     assert RankingEntry("J", Ratio(1), 1) == RankingEntry(
         journal_id="J", value=Ratio(1), rank=1, tied_with=())
     assert Ranking(()) == Ranking(entries=(), skipped=())
