@@ -166,6 +166,81 @@ def test_verify_paper_exits_zero():
     assert out == _VERIFY_PAPER
 
 
+_USAGE = ("usage: impactz {} [-h] --pubs PUBS --cits CITS "
+          "--kind {{diachronous,sync-aor,sync-roa}} -n N --year YEAR "
+          "[-s {{0,1}}] [--format {{tsv,json}}] [--places PLACES]")
+_SPEC_HELP = """\
+  --kind {diachronous,sync-aor,sync-roa}
+  -n N                  window length in years
+  --year YEAR           target year
+  -s {0,1}              include the publication year (diachronous only)
+  --format {tsv,json}
+  --places PLACES       decimal places for display values (0 to 1000)
+"""
+_CORPUS_HELP = """\
+
+options:
+  -h, --help            show this help message and exit
+  --pubs PUBS           publications CSV (journal,year,pubs)
+  --cits CITS           citations CSV (journal,citing_year,cited_year,count)
+""" + _SPEC_HELP
+_HELP = {
+    (): """\
+usage: impactz [-h] {compute,rank,sensitivity,mine,verify-paper} ...
+
+Exact impact-factor indicators and Z-consistency audits
+
+positional arguments:
+  {compute,rank,sensitivity,mine,verify-paper}
+    compute             indicator value per journal
+    rank                competition-ranked journal table
+    sensitivity         minimal uncited injections that flip adjacent ranks
+    mine                exhaustively search bounded data for reversals
+    verify-paper        check the built-in reference tables end to end
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("compute",): _USAGE.format("compute") + "\n" + _CORPUS_HELP,
+    ("rank",): _USAGE.format("rank") + "\n" + _CORPUS_HELP,
+    ("sensitivity",): _USAGE.format("sensitivity") + " [--k-max K_MAX]\n"
+    + _CORPUS_HELP
+    + "  --k-max K_MAX         largest injection size to report\n",
+    ("mine",): """\
+usage: impactz mine [-h] --kind {diachronous,sync-aor,sync-roa} -n N \
+--year YEAR [-s {0,1}] [--format {tsv,json}] [--places PLACES] \
+--pub-max PUB_MAX --cit-max CIT_MAX --k-max K_MAX [--limit LIMIT]
+
+options:
+  -h, --help            show this help message and exit
+""" + _SPEC_HELP + """\
+  --pub-max PUB_MAX
+  --cit-max CIT_MAX
+  --k-max K_MAX
+  --limit LIMIT
+""",
+    ("verify-paper",): """\
+usage: impactz verify-paper [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    # at this width every usage line is one line on Python 3.10 to 3.13
+    monkeypatch.setenv("COLUMNS", "200")
+    for command, expected in _HELP.items():
+        assert invoke([*command, "--help"]) == (0, "")
+        assert capsys.readouterr() == (expected, "")
+    assert invoke(["compute"]) == (2, "")
+    assert capsys.readouterr() == ("", _USAGE.format("compute") + "\n"
+                                   "impactz compute: error: the following "
+                                   "arguments are required: --pubs, --cits, "
+                                   "--kind, -n, --year\n")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _ = invoke(["compute", "--bogus"])
     assert code == 2
