@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from itertools import islice
 
 from .consistency import SearchBounds, iter_counterexamples
@@ -36,75 +37,63 @@ def _int_in_range(low: int, high: int | None = None):
 
 
 _positive = _int_in_range(1)
+_MAX_WINDOW = 100  # each pair's sensitivity scan re-reads the whole window
+_window = _int_in_range(1, _MAX_WINDOW)
 _MAX_PLACES = 1000  # bounds the digits that each printed value can take
 _places = _int_in_range(0, _MAX_PLACES)
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pubs", required=True,
+def _build_parser() -> argparse.ArgumentParser:
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--pubs", required=True,
                         help="publications CSV (journal,year,pubs)")
-    parser.add_argument("--cits", required=True,
+    corpus.add_argument("--cits", required=True,
                         help="citations CSV (journal,citing_year,cited_year,count)")
 
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--kind", required=True, choices=sorted(_KINDS))
+    spec.add_argument("-n", type=_window, required=True, dest="n",
+                      help=f"window length in years (1 to {_MAX_WINDOW})")
+    spec.add_argument("--year", type=int, required=True, help="target year")
+    spec.add_argument("-s", type=int, default=0, choices=(0, 1),
+                      help="include the publication year (diachronous only)")
 
-def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    parser.add_argument("-n", type=_positive, required=True, dest="n",
-                        help="window length in years")
-    parser.add_argument("--year", type=int, required=True,
-                        help="target year")
-    parser.add_argument("-s", type=int, default=0, choices=(0, 1),
-                        help="include the publication year (diachronous only)")
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    parser.add_argument("--places", type=_places, default=2,
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    output.add_argument("--places", type=_places, default=2,
                         help="decimal places for display values "
                              f"(0 to {_MAX_PLACES})")
 
+    sensitivity = argparse.ArgumentParser(add_help=False)
+    sensitivity.add_argument("--k-max", type=_positive, default=100,
+                             help="largest injection size to report")
 
-def _add_command(sub, name: str, func, help: str,
-                 *arg_groups) -> argparse.ArgumentParser:
-    parser = sub.add_parser(name, help=help)
-    parser.set_defaults(func=func)
-    for add_args in arg_groups:
-        add_args(parser)
-    return parser
+    mine = argparse.ArgumentParser(add_help=False)
+    mine.add_argument("--pub-max", type=_positive, required=True)
+    mine.add_argument("--cit-max", type=_positive, required=True)
+    mine.add_argument("--k-max", type=_positive, required=True)
+    mine.add_argument("--limit", type=_positive, default=10)
 
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impactz",
         description="Exact impact-factor indicators and Z-consistency audits")
     sub = parser.add_subparsers(dest="command", required=True)
-    corpus_args = (_add_corpus_args, _add_spec_args, _add_output_args)
-
-    _add_command(sub, "compute", _cmd_compute,
-                 "indicator value per journal", *corpus_args)
-    _add_command(sub, "rank", _cmd_rank,
-                 "competition-ranked journal table", *corpus_args)
-    p = _add_command(sub, "sensitivity", _cmd_sensitivity,
-                     "minimal uncited injections that flip adjacent ranks",
-                     *corpus_args)
-    p.add_argument("--k-max", type=_positive, default=100,
-                   help="largest injection size to report")
-
-    p = _add_command(sub, "mine", _cmd_mine,
-                     "exhaustively search bounded data for reversals",
-                     _add_spec_args, _add_output_args)
-    p.add_argument("--pub-max", type=_positive, required=True)
-    p.add_argument("--cit-max", type=_positive, required=True)
-    p.add_argument("--k-max", type=_positive, required=True)
-    p.add_argument("--limit", type=_positive, default=10)
-
-    _add_command(sub, "verify-paper", _cmd_verify_paper,
-                 "check the built-in reference tables end to end")
+    for name, func, help, parents in (
+            ("compute", partial(_cmd_table, _compute_table),
+             "indicator value per journal", (corpus, spec, output)),
+            ("rank", partial(_cmd_table, _rank_table),
+             "competition-ranked journal table", (corpus, spec, output)),
+            ("sensitivity", partial(_cmd_table, _sensitivity_table),
+             "minimal uncited injections that flip adjacent ranks",
+             (corpus, spec, output, sensitivity)),
+            ("mine", _cmd_mine,
+             "exhaustively search bounded data for reversals",
+             (spec, output, mine)),
+            ("verify-paper", _cmd_verify_paper,
+             "check the built-in reference tables end to end", ())):
+        sub.add_parser(name, help=help,
+                       parents=parents).set_defaults(func=func)
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> IndicatorSpec:
-    return IndicatorSpec(_KINDS[args.kind], args.n, args.year, args.s)
 
 
 def _cell(value, places: int) -> dict[str, str]:
@@ -128,50 +117,39 @@ def _emit(rows, fmt: str, out) -> None:
             out.write("\t".join(map(str, row.values())) + "\n")
 
 
-def _load(args):
+def _cmd_table(table, args, out) -> int:
+    """Load the two CSVs, write ``table``'s rows, then warn on stderr
+    about each journal that it skipped."""
     with open(args.pubs, encoding="utf-8") as pubs_fh, \
             open(args.cits, encoding="utf-8") as cits_fh:
-        return load_corpus(pubs_fh, cits_fh)
-
-
-def _warn_skipped(skipped) -> None:
+        corpus = load_corpus(pubs_fh, cits_fh)
+    spec = IndicatorSpec(_KINDS[args.kind], args.n, args.year, args.s)
+    rows, skipped = table(corpus, spec, args)
+    _emit(rows, args.format, out)
     for journal_id, reason in skipped:
         print(f"warning: skipped {journal_id}: {reason}", file=sys.stderr)
-
-
-def _cmd_compute(args, out) -> int:
-    values, skipped = _values(_load(args), _spec_from_args(args))
-    rows = [{"journal": journal_id, **_cell(value, args.places)}
-            for journal_id, value in values]
-    _emit(rows, args.format, out)
-    _warn_skipped(skipped)
     return 0
 
 
-def _cmd_rank(args, out) -> int:
-    ranking = rank(_load(args), _spec_from_args(args))
-    rows = [{"rank": entry.rank, "journal": entry.journal_id,
-             **_cell(entry.value, args.places)} for entry in ranking.entries]
-    _emit(rows, args.format, out)
-    _warn_skipped(ranking.skipped)
-    return 0
+def _compute_table(corpus, spec, args):
+    values, skipped = _values(corpus, spec)
+    return [{"journal": journal_id, **_cell(value, args.places)}
+            for journal_id, value in values], skipped
 
 
-def _cmd_sensitivity(args, out) -> int:
-    corpus = _load(args)
-    spec = _spec_from_args(args)
+def _rank_table(corpus, spec, args):
     ranking = rank(corpus, spec)
-    report = _sensitivity_rows(corpus, spec, ranking, args.k_max)
-    rows = []
-    for row in report:
-        for year in sorted(row.per_year_min_k):
-            k = row.per_year_min_k[year]
-            rows.append({"upper": row.upper_id, "lower": row.lower_id,
-                         "year": year,
-                         "min_k": "-" if k is None else k})
-    _emit(rows, args.format, out)
-    _warn_skipped(ranking.skipped)
-    return 0
+    return [{"rank": entry.rank, "journal": entry.journal_id,
+             **_cell(entry.value, args.places)}
+            for entry in ranking.entries], ranking.skipped
+
+
+def _sensitivity_table(corpus, spec, args):
+    ranking = rank(corpus, spec)
+    return [{"upper": row.upper_id, "lower": row.lower_id, "year": year,
+             "min_k": "-" if (k := row.per_year_min_k[year]) is None else k}
+            for row in _sensitivity_rows(corpus, spec, ranking, args.k_max)
+            for year in sorted(row.per_year_min_k)], ranking.skipped
 
 
 def _cmd_mine(args, out) -> int:

@@ -159,6 +159,9 @@ class IndicatorSpec(Record):
 
     def __init__(self, kind: IndicatorKind, n: int, target_year: Year,
                  s: int = 0):
+        if not isinstance(kind, IndicatorKind):
+            raise ValidationError(
+                f"kind must be an IndicatorKind, got {kind!r}")
         if fault := (_integer_fault(n, "window length")
                      or _integer_fault(target_year, "target year")
                      or _integer_fault(s, "s")):

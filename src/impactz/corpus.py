@@ -49,20 +49,26 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+def _id_fault(journal_id: str) -> str | None:
+    """A journal id is non-empty and holds no tab and no character that
+    ``str.splitlines()`` breaks at, so each journal's TSV row and warning
+    line stay one line with their columns."""
+    if not journal_id:
+        return "empty journal id"
+    if "\t" in journal_id or journal_id.splitlines() != [journal_id]:
+        return f"journal id {journal_id!r} holds a tab or line break"
+    return None
+
+
 class Corpus(Record):
-    """Journals by id.  An id is non-empty and holds no tab and no
-    character that ``str.splitlines()`` breaks at, so each journal's TSV
-    row and warning line stay one line with their columns."""
+    """Journals by id, each id following :func:`_id_fault`."""
 
     __match_args__ = ("journals",)
 
     def __init__(self, journals: dict[str, JournalData]):
         for journal_id in journals:
-            if not journal_id:
-                raise ValidationError("empty journal id")
-            if "\t" in journal_id or journal_id.splitlines() != [journal_id]:
-                raise ValidationError(
-                    f"journal id {journal_id!r} holds a tab or line break")
+            if fault := _id_fault(journal_id):
+                raise ValidationError(fault)
         self.__dict__["journals"] = journals
 
 
@@ -175,7 +181,7 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     of CSV text; a ``str`` is never opened as a path, and a leading
     byte-order mark is dropped.  Journals present in only one file get
     zero counts for the other side.  A journal id follows the
-    :class:`Corpus` rule.
+    :func:`_id_fault` rule, checked at the first row that names it.
 
     Every cell is read stripped of surrounding whitespace, and blank or
     whitespace-only rows are skipped.  ``line N`` in an error counts CSV
@@ -200,6 +206,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
             journal = journal.strip()
             per_journal = pubs.get(journal)
             if per_journal is None:
+                if fault := _id_fault(journal):
+                    raise ValidationError(f"line {line}: {fault}")
                 per_journal = pubs[journal] = {}
             elif year in per_journal:
                 raise ValidationError(
@@ -226,6 +234,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
             cell = (citing, cited)
             per_journal = cits.get(journal)
             if per_journal is None:
+                if fault := _id_fault(journal):
+                    raise ValidationError(f"line {line}: {fault}")
                 per_journal = cits[journal] = {}
             elif cell in per_journal:
                 raise ValidationError(

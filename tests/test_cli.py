@@ -171,7 +171,7 @@ _USAGE = ("usage: impactz {} [-h] --pubs PUBS --cits CITS "
           "[-s {{0,1}}] [--format {{tsv,json}}] [--places PLACES]")
 _SPEC_HELP = """\
   --kind {diachronous,sync-aor,sync-roa}
-  -n N                  window length in years
+  -n N                  window length in years (1 to 100)
   --year YEAR           target year
   -s {0,1}              include the publication year (diachronous only)
   --format {tsv,json}
@@ -265,6 +265,8 @@ def test_unknown_command_is_usage_error():
     ("mine", "-n", "0"),
     ("mine", "--pub-max", "0"),
     ("mine", "--cit-max", "0"),
+    ("compute", "-n", "101"),
+    ("mine", "-n", "101"),
 ])
 def test_out_of_range_flag_is_usage_error(table_1a_files, command, flag,
                                           value):
@@ -348,7 +350,8 @@ def test_journal_id_that_breaks_a_row_is_exit_one(tmp_path, capsys,
                         "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
-        f"error: journal id {journal_id!r} holds a tab or line break\n")
+        f"error: line 3: journal id {journal_id!r} holds a tab or line "
+        f"break\n")
 
 
 def test_byte_order_mark_prints_the_same(tmp_path, table_1a_files):
@@ -418,6 +421,9 @@ def _then(good: str, row: str) -> str:
     ("cits", "journal,citing,cited,count\n",
      "line 1: expected header journal,citing_year,cited_year,count, "
      "got journal,citing,cited,count"),
+    ("pubs", _then(_GOOD_PUBS, " ,1999,5"), "line 4: empty journal id"),
+    ("cits", _then(_GOOD_CITS, '"K\tL",2000,1999,5'),
+     "line 4: journal id 'K\\tL' holds a tab or line break"),
 ])
 def test_bad_row_error_line_is_pinned(tmp_path, capsys, which, text,
                                       message):

@@ -17,6 +17,7 @@ from impactz import (
     compute,
     denominator_years,
     diachronous_imp,
+    mine_counterexamples,
     pub_count,
     sync_if_aor,
     sync_if_roa,
@@ -225,6 +226,12 @@ _ROA, _DIA = IndicatorKind.SYNC_ROA, IndicatorKind.DIACHRONOUS
     ((IndicatorSpec, _DIA, 2, Y, 2), "s must be 0 or 1, got 2"),
     ((SearchBounds, 2, 2, 0, 2), "all bounds must be >= 1"),
     ((SearchBounds, 0, 2, 2, 2), "all bounds must be >= 1"),
+    # a kind is an IndicatorKind, not its value string
+    ((IndicatorSpec, "sync-roa", 2, Y),
+     "kind must be an IndicatorKind, got 'sync-roa'"),
+    ((IndicatorSpec, None, 2, Y), "kind must be an IndicatorKind, got None"),
+    ((mine_counterexamples, "sync-aor", SearchBounds(2, 2, 3, 3), 2),
+     "kind must be an IndicatorKind, got 'sync-aor'"),
 ])
 def test_spec_and_bounds_integer_rule(args, message):
     cls, *values = args

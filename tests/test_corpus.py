@@ -140,8 +140,9 @@ def test_journal_id_with_tab_or_line_break_is_refused(journal_id):
     for route, load in routes.items():
         with pytest.raises(ValidationError) as exc_info:
             load()
-        assert str(exc_info.value) == (
-            f"journal id {journal_id!r} holds a tab or line break"), route
+        line = "line 2: " if route == "csv" else ""
+        assert str(exc_info.value) == (f"{line}journal id {journal_id!r} "
+                                       "holds a tab or line break"), route
 
 
 def test_journal_id_may_hold_other_separators():
@@ -275,6 +276,10 @@ _PUBS_FIELDS = _PUBS_HEADER.split(",")
 _CITS_FIELDS = _CITS_HEADER.split(",")
 
 
+# a tab and the characters that str.splitlines() breaks at
+_BREAKS = set("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def _reference_load(pubs: str, cits: str) -> Corpus:
     """A slow, plain loader: strip every cell, one ``int`` per field,
     the same checks and messages as :func:`load_corpus`, in the same
@@ -313,6 +318,12 @@ def _reference_load(pubs: str, cits: str) -> Corpus:
                     raise ValidationError(
                         f"line {line}: citing year {key[0]} precedes cited "
                         f"year {key[1]}")
+                if not cells[0]:
+                    raise ValidationError(f"line {line}: empty journal id")
+                if not _BREAKS.isdisjoint(cells[0]):
+                    raise ValidationError(
+                        f"line {line}: journal id {cells[0]!r} holds a tab "
+                        f"or line break")
                 row_key = (cells[0], *key)
                 if row_key in table:
                     raise ValidationError(
