@@ -298,8 +298,10 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
 
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
-    return JournalData(name, dict(zip(years, pubs_vec)),
-                       dict(zip(cells, cits_vec)))
+    """A miner vector pair as JournalData; the box keeps the count
+    contract by construction, so the counts are not checked again."""
+    return JournalData._checked(name, dict(zip(years, pubs_vec)),
+                                dict(zip(cells, cits_vec)))
 
 
 def _terms(aor: bool, den: int, pubs, cits
@@ -349,9 +351,29 @@ def _reversing_ks(den: int, left_term: tuple[int, int, int],
                             a * p_l * p_r + den * (c_l * p_r - c_r * p_l))
 
 
+# The miner lists a box's publication vectors, pub_max ** |years|, and
+# its citation vectors, (cit_max + 1) ** |cells|, before the first row;
+# a box with more of either is refused rather than run out of memory.
+_MAX_VECTORS = 10**5
+
+
+def _power_above(base: int, power: int, limit: int) -> bool:
+    """Whether ``base ** power > limit``, for ``base, limit >= 1``,
+    decided without building a power much larger than ``limit``."""
+    if base == 1:
+        return False
+    count = 1
+    for _ in range(power):
+        count *= base
+        if count > limit:
+            return True
+    return False
+
+
 def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                     equal_pubs: bool) -> Iterator[PairScenario]:
-    """The reversing scenarios of the box, in canonical order.
+    """The reversing scenarios of the box, in canonical order; a box over
+    :data:`_MAX_VECTORS` raises ValidationError before any is listed.
 
     One integer table serves every kind: each (pubs, cits) vector's
     :func:`_terms` over ``den``, the lcm of every divisor the box can
@@ -365,6 +387,16 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
     publication vector without one before any of its rows is read.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
+    # the sizes of window(spec), known before it is built: n cells, and
+    # n denominator years for the synchronous kinds, one for diachronous
+    n_years = 1 if kind is IndicatorKind.DIACHRONOUS else bounds.n
+    for what, base, formula, power in (
+            ("publication", bounds.pub_max, "pub_max", n_years),
+            ("citation", bounds.cit_max + 1, "(cit_max + 1)", bounds.n)):
+        if _power_above(base, power, _MAX_VECTORS):
+            raise ValidationError(
+                f"the box holds more than {_MAX_VECTORS} {what} vectors, "
+                f"{formula} ** {power}")
     years, cells = window(spec)
     aor, k_max = kind is IndicatorKind.SYNC_AOR, bounds.k_max
     # sync-aor divides by one year's count, the other kinds by the total

@@ -135,6 +135,30 @@ class JournalData(Record):
                 raise ValidationError(
                     f"journal {journal_id!r}, "
                     f"cits[{(citing, cited)!r}]: {fault}")
+        self._store(journal_id, pubs, cits)
+
+    @classmethod
+    def _checked(cls, journal_id: str, pubs: Mapping[Year, int],
+                 cits: Mapping[tuple[Year, Year], int]) -> JournalData:
+        """A JournalData over counts that the caller has already held to
+        the count contract.
+
+        It has two callers, each of which checks no less than
+        ``__init__``: ``corpus.load_corpus``, whose every CSV row has
+        passed the integer, sign, direction, duplicate and journal-id
+        rules with its line number, and the miner's
+        ``consistency._journal``, whose vectors hold ``int`` counts that
+        are in range by construction (publications >= 1, citations >= 0,
+        and :func:`window` cells cite no earlier year than they are
+        cited).  Every other route goes through ``JournalData(...)``.
+        """
+        self = cls.__new__(cls)
+        self._store(journal_id, pubs, cits)
+        return self
+
+    def _store(self, journal_id: str, pubs: Mapping, cits: Mapping) -> None:
+        """Set the fields from copies of the counts without zero entries,
+        so that later changes to the caller's mappings do not show."""
         fields = self.__dict__
         fields["journal_id"] = journal_id
         fields["pubs"] = {year: count for year, count in pubs.items() if count}

@@ -16,7 +16,6 @@ import io
 import os
 from contextlib import contextmanager
 from itertools import groupby
-from operator import itemgetter
 
 from .consistency import (
     PairScenario,
@@ -32,9 +31,11 @@ from .core import (
     ValidationError,
     ZeroDenominator,
     _direction_fault,
+    _evaluate,
     _sign_fault,
-    compute,
+    _window_counts,
     denominator_years,
+    window,
 )
 from .ratio import Ratio
 
@@ -243,9 +244,10 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                     f"({journal}, {citing}, {cited})")
             per_journal[cell] = count
 
+    # every count above has passed the rules that JournalData applies
     journals = {
-        journal_id: JournalData(journal_id, pubs.get(journal_id, {}),
-                                cits.get(journal_id, {}))
+        journal_id: JournalData._checked(journal_id, pubs.get(journal_id, {}),
+                                         cits.get(journal_id, {}))
         for journal_id in sorted(set(pubs) | set(cits))
     }
     return Corpus(journals)
@@ -328,11 +330,16 @@ def corpus_from_json(text: str) -> Corpus:
 def _values(corpus: Corpus, spec: IndicatorSpec
             ) -> tuple[list[tuple[str, Ratio]], list[tuple[str, str]]]:
     """The one skip rule: in id order, the (id, value) of each journal
-    the indicator can evaluate and the (id, reason) of each it cannot."""
+    the indicator can evaluate and the (id, reason) of each it cannot.
+    Each value is :func:`~impactz.core.compute`'s, over one read of the
+    window."""
+    years, cells = window(spec)
     values, skipped = [], []
     for journal_id, data in sorted(corpus.journals.items()):
         try:
-            values.append((journal_id, compute(data, spec)))
+            values.append((journal_id, Ratio(*_evaluate(
+                data.journal_id, spec, years,
+                *_window_counts(data, years, cells)))))
         except ZeroDenominator as exc:
             skipped.append((journal_id, str(exc)))
     return values, skipped
@@ -345,23 +352,31 @@ def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
     lexicographic by journal id.  An uncomputable journal is skipped and
     reported with its reason.
 
-    After the sort, equal neighbours are grouped once by exact ``Ratio``
-    equality: a group starting at index i has rank i + 1, and each member
-    is ``tied_with`` the group's other ids, in display order.  The cost
-    is O(N log N) plus the sum of squared group sizes, which is the size
-    of the ``tied_with`` output itself.
+    The sort and the grouping use one exact integer key per value,
+    ``num * D**2 // den`` with D the largest denominator: two distinct
+    reduced fractions with denominators <= D differ by at least 1/D**2,
+    so distinct values get distinct keys in the same order, and equal
+    keys mean equal values.  After the sort, equal neighbours are grouped
+    once: a group starting at index i has rank i + 1, and each member is
+    ``tied_with`` the group's other ids, in display order.  The cost is
+    O(N log N) plus the sum of squared group sizes, which is the size of
+    the ``tied_with`` output itself.
     """
     values, skipped = _values(corpus, spec)
-    values.sort(key=lambda item: item[1], reverse=True)
+    scale = max((value.denominator for _, value in values), default=1) ** 2
+    keys = [-(value.numerator * scale // value.denominator)
+            for _, value in values]
+    # descending by value; the sort is stable, so ties stay in id order
+    order = sorted(range(len(values)), key=keys.__getitem__)
 
     entries: list[RankingEntry] = []
-    for value, group in groupby(values, key=itemgetter(1)):
-        ids = [journal_id for journal_id, _ in group]
+    for _, group in groupby(order, key=keys.__getitem__):
+        ids, group_values = zip(*map(values.__getitem__, group))
         current_rank = len(entries) + 1
         entries.extend(
-            RankingEntry(journal_id, value, current_rank,
-                         tuple(other for other in ids if other != journal_id))
-            for journal_id in ids)
+            RankingEntry(journal_id, group_values[0], current_rank,
+                         ids[:i] + ids[i + 1:])
+            for i, journal_id in enumerate(ids))
     return Ranking(tuple(entries), tuple(skipped))
 
 

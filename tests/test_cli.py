@@ -581,6 +581,61 @@ def test_closed_stdout_is_exit_one_and_silent(argv, lines_read):
     assert _run_with_closed_stdout(argv, lines_read) == (1, b"")
 
 
+# --- oversized mine box ----------------------------------------------------------
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("kind, n, pub_max, cit_max, what", [
+    ("sync-roa", 100, 2, 2, "publication vectors, pub_max ** 100"),
+    ("sync-aor", 2, 2, 10**6, "citation vectors, (cit_max + 1) ** 2"),
+    ("diachronous", 1, 10**5 + 1, 1, "publication vectors, pub_max ** 1"),
+    # 400,000 digits: the message names the limit, never the count
+    ("diachronous", 100, 1, int("9" * 4000),
+     "citation vectors, (cit_max + 1) ** 100"),
+])
+def test_oversized_mine_box_is_refused(kind, n, pub_max, cit_max, what):
+    # a miner that began to list these boxes' vectors would run out of
+    # memory, so the run gets 1 GiB of address space and a time limit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    argv = _mine_argv(kind, n, pub_max, cit_max, 2, 10, "tsv")
+    proc = subprocess.run([sys.executable, "-m", "impactz.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: the box holds more than 100000 {what}\n"
+
+
+@pytest.mark.parametrize("kind, n, pub_max, cit_max, what", [
+    # bounds the CLI cannot reach: neither the power nor the window is built
+    ("diachronous", "1000", "1", "10**100000",
+     "citation vectors, (cit_max + 1) ** 1000"),
+    ("sync-roa", "3", "10**100000", "1", "publication vectors, pub_max ** 3"),
+    ("sync-aor", "10**9", "1", "1",
+     "citation vectors, (cit_max + 1) ** 1000000000"),
+])
+def test_oversized_mine_box_is_refused_through_the_api(kind, n, pub_max,
+                                                       cit_max, what):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    script = (
+        "from impactz.consistency import SearchBounds, iter_counterexamples\n"
+        "from impactz.core import IndicatorKind, ValidationError\n"
+        f"bounds = SearchBounds({n}, {pub_max}, {cit_max}, 2)\n"
+        "try:\n"
+        f"    next(iter_counterexamples(IndicatorKind({kind!r}), bounds))\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"the box holds more than 100000 {what}\n"
+
+
 # --- exit-code fuzz -----------------------------------------------------------
 
 def _csv_file(header, fields):

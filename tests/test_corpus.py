@@ -1,9 +1,11 @@
+import ast
 import csv
 import io
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from impactz import (
     sensitivity_report,
     sync_if_roa,
 )
+from impactz import core
 
 from conftest import Y
 
@@ -454,6 +457,16 @@ def _count_loaders(pubs: dict, cits: dict) -> dict:
      "count must be an integer, got True"),
     ({}, {(2000, 1999): True}, "data json",
      "count must be an integer, got True"),
+    ({}, {(2000, 1999.5): 1}, "data json",
+     "cited year must be an integer, got 1999.5"),
+    ({}, {(2000, 1999): 1.5}, "data json", "count must be an integer, got 1.5"),
+    ({"x": 3}, {}, "data json injection", "year must be an integer, got 'x'"),
+    ({True: 3}, {}, "data injection", "year must be an integer, got True"),
+    ({}, {(2000, 1999): -2, (2000, 1998): 1}, "data json csv",
+     "negative citation count -2"),
+    # a zero count is checked before it is dropped
+    ({1999: 4}, {(1999, 2000): 0}, "data json csv",
+     "citing year 1999 precedes cited year 2000"),
     # accepted: a same-year citation; zero counts are dropped
     ({1998: 0, 1999: 4}, {(1999, 1999): 2, (2000, 1999): 0},
      "data json csv", None),
@@ -472,6 +485,44 @@ def test_count_rules_agree(pubs, cits, via, reason):
         location, got = str(exc_info.value).split(": ", 1)
         assert location.startswith(prefix[name]), name
         assert got == reason, name
+
+
+def test_load_corpus_checks_each_count_once(monkeypatch):
+    # load_corpus holds each CSV row to the count contract, with its line
+    # number; the JournalData it builds does not check the counts again
+    calls = Counter()
+    integer_fault = core._integer_fault
+
+    def counted(value, what):
+        calls[what] += 1
+        return integer_fault(value, what)
+
+    monkeypatch.setattr(core, "_integer_fault", counted)
+    pubs = PUBS_1A + f"K,{Y - 1},0\nK,{Y - 2},7\n"
+    cits = CITS_1A + f"K,{Y},{Y},0\nL,{Y},{Y - 1},3\n"
+    corpus = load_corpus(pubs, cits)
+    assert calls == {}
+    # the same counts through the public constructor are each checked
+    for data in corpus.journals.values():
+        assert JournalData(data.journal_id, data.pubs, data.cits) == data
+    assert calls == {"year": 5, "count": 10, "citing year": 5,
+                     "cited year": 5}
+    assert corpus.journals["K"] == JournalData("K", {Y - 2: 7})
+
+
+def test_only_checked_routes_skip_the_count_rules():
+    # JournalData._checked stores counts unchecked; only the CSV loader
+    # and the miner, which check or construct every count, may call it
+    callers = set()
+    for path in Path(core.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                callers.update(
+                    (path.stem, function.name) for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "_checked")
+    assert callers == {("corpus", "load_corpus"), ("consistency", "_journal")}
 
 
 _json_values = st.recursive(
@@ -603,6 +654,43 @@ def test_rank_matches_definition_oracle():
     check()
     assert max(largest_group) >= 3
     assert any(any_skipped)
+
+
+def _farey_neighbour(a: int, b: int, bound: int) -> tuple[int, int]:
+    """c/d, the fraction just above the reduced a/b among those with
+    denominators <= ``bound`` (b <= bound): b*c - a*d = 1 with the
+    largest such d, so c/d - a/b = 1/(b*d), close to 1/bound**2."""
+    d = -pow(a, -1, b) % b if b > 1 else 0  # a*d = -1 (mod b)
+    d += (bound - d) // b * b
+    return (1 + a * d) // b, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**6), st.lists(
+    st.tuples(st.integers(0, 10**7), st.integers(1, 10**6),
+              st.sampled_from([1, 1, 2, 3])), min_size=1, max_size=12))
+@example(10**6, [(999_999, 10**6, 1), (1, 1, 1)])
+def test_rank_key_keeps_fraction_order_and_ties(bound, draws):
+    # rank sorts and groups on an integer key, num * D**2 // den; against
+    # plain Fractions, near neighbours stay apart in the same order and
+    # equal values tie.  Each drawn value c/p is joined by its Farey
+    # neighbour at the bound, and a multiplier m > 1 adds the same value
+    # unreduced, m*c/(m*p), so it ties.
+    values = []
+    for num, den, m in draws:
+        value = Fraction(num, min(den, bound))
+        c, p = value.numerator, value.denominator
+        values += [(c, p), _farey_neighbour(c, p, bound)]
+        if m > 1:
+            values.append((m * c, m * p))
+    corpus = Corpus({f"j{i:02}": JournalData(f"j{i:02}", {Y - 1: p},
+                                             {(Y, Y - 1): c})
+                     for i, (c, p) in enumerate(values)})
+    ranking = rank(corpus, ROA2)
+    entries, skipped = _rank_oracle(corpus)
+    assert [(e.journal_id, e.value, e.rank, e.tied_with)
+            for e in ranking.entries] == entries
+    assert ranking.skipped == () and skipped == []
 
 
 # --- sensitivity ------------------------------------------------------------
