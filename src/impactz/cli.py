@@ -163,10 +163,11 @@ def _cmd_mine(args, out) -> int:
 
 
 def _mine_rows(witnesses):
-    """One row per witness; the journal columns are formatted once per
-    (left, right) pair, which the miner shares across its witnesses."""
+    """One row per witness; the journal and "before" columns are
+    formatted once per (left, right) pair, which the miner shares across
+    its witnesses."""
     import json
-    left = right = journals = None
+    left = right = journals = before = None
     for witness in witnesses:
         scenario, verdict = witness.scenario, witness.verdict
         if scenario.left is not left or scenario.right is not right:
@@ -177,10 +178,10 @@ def _mine_rows(witnesses):
                                                       sort_keys=True)
                 journals[f"{side}_cits"] = json.dumps(
                     {f"{c},{d}": v for (c, d), v in sorted(data.cits.items())})
+            before = (f"{format_exact(verdict.before[0])} vs "
+                      f"{format_exact(verdict.before[1])}")
         (year, k), = scenario.injection.additions
-        yield {**journals, "inject_year": year, "k": k,
-               "before": f"{format_exact(verdict.before[0])} vs "
-                         f"{format_exact(verdict.before[1])}",
+        yield {**journals, "inject_year": year, "k": k, "before": before,
                "after": f"{format_exact(verdict.after[0])} vs "
                         f"{format_exact(verdict.after[1])}"}
 

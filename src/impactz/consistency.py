@@ -10,7 +10,7 @@ fresh violations.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import cache
 from itertools import islice, product
@@ -87,7 +87,9 @@ class ReversalWitness(Record):
         fields["verdict"] = verdict
 
     def verify(self) -> bool:
-        """Recompute the scenario from raw data and compare verdicts."""
+        """Recompute the scenario from raw data through
+        :func:`check_z_consistency`, the one verifier that also checked
+        the witness when it was mined, and compare verdicts."""
         return check_z_consistency(self.scenario) == self.verdict
 
 
@@ -117,39 +119,67 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     """Decide whether the injection preserves, ties, or reverses the
     pair's ordering.  Comparisons are exact; there is no tolerance.
 
-    Both journals' window counts are read once; "after" evaluates the
-    same counts with the injection's publications added per year.  The
-    tag follows the signs of the cross-multiplied integer gaps; the
-    ``Ratio`` values are built only for the verdict.
+    This is the one verifier, :func:`_verdicts`, for one injection.  The
+    miner and the sensitivity check call :func:`_verdicts` with all the
+    injections of one pair, so they share that pair's window read and
+    "before" values, while each verdict's tag still comes from its own
+    "after" evaluation.
     """
-    spec = scenario.spec
+    verdict, = _verdicts(scenario.left, scenario.right, scenario.spec,
+                         (scenario.injection,))
+    return verdict
+
+
+def _verdicts(left: JournalData, right: JournalData, spec: IndicatorSpec,
+              injections: Sequence[Injection]) -> Iterator[Verdict]:
+    """The :func:`check_z_consistency` verdict of each of ``injections``,
+    applied to both journals, in order.
+
+    The window and both journals' counts are read once, and "before" is
+    evaluated once (its ``ZeroDenominator`` raised at the first
+    verdict).  Each injection's "after" evaluates the same counts with
+    its publications added per year, and its tag follows the signs of
+    the cross-multiplied integer gaps; the ``Ratio`` values are built
+    only for the verdict.
+    """
+    if not injections:
+        return
     years, cells = window(spec)
-    added = scenario.injection.per_year()
     counts = [(data.journal_id, *_window_counts(data, years, cells))
-              for data in (scenario.left, scenario.right)]
-    values = []
-    for phase, extra in (("before", [0] * len(years)),
-                         ("after", [added.get(y, 0) for y in years])):
-        for journal_id, pubs, cits in counts:
-            try:
-                values.append(_evaluate(journal_id, spec, years,
-                                        list(map(add, pubs, extra)), cits))
-            except ZeroDenominator as exc:
-                raise ZeroDenominator(
-                    f"{exc} ({phase} injection)", year=exc.year,
-                    journal=journal_id) from exc
-    (nl, dl), (nr, dr), (nl_k, dl_k), (nr_k, dr_k) = values
-    before, after = nl * dr - nr * dl, nl_k * dr_k - nr_k * dl_k
-    if not before:
-        tag = VerdictTag.TIE_BEFORE
-    elif not after:
-        tag = VerdictTag.TIE_AFTER
-    elif (before < 0) != (after < 0):
-        tag = VerdictTag.REVERSED
-    else:
-        tag = VerdictTag.PRESERVED
-    ratios = [Ratio(*pair) for pair in values]
-    return Verdict(tag, tuple(ratios[:2]), tuple(ratios[2:]))
+              for data in (left, right)]
+    (nl, dl), (nr, dr) = (_phase_value(spec, years, *count, "before")
+                          for count in counts)
+    before = nl * dr - nr * dl
+    before_ratios = (Ratio(nl, dl), Ratio(nr, dr))
+    for injection in injections:
+        added = injection.per_year()
+        extra = [added.get(y, 0) for y in years]
+        (nl_k, dl_k), (nr_k, dr_k) = (
+            _phase_value(spec, years, journal_id,
+                         list(map(add, pubs, extra)), cits, "after")
+            for journal_id, pubs, cits in counts)
+        after = nl_k * dr_k - nr_k * dl_k
+        if not before:
+            tag = VerdictTag.TIE_BEFORE
+        elif not after:
+            tag = VerdictTag.TIE_AFTER
+        elif (before < 0) != (after < 0):
+            tag = VerdictTag.REVERSED
+        else:
+            tag = VerdictTag.PRESERVED
+        yield Verdict(tag, before_ratios,
+                      (Ratio(nl_k, dl_k), Ratio(nr_k, dr_k)))
+
+
+def _phase_value(spec: IndicatorSpec, years, journal_id: str, pubs, cits,
+                 phase: str) -> tuple[int, int]:
+    """:func:`_evaluate`, its ``ZeroDenominator`` naming the phase
+    ("before" or "after" injection)."""
+    try:
+        return _evaluate(journal_id, spec, years, pubs, cits)
+    except ZeroDenominator as exc:
+        raise ZeroDenominator(f"{exc} ({phase} injection)", year=exc.year,
+                              journal=journal_id) from exc
 
 
 def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
@@ -286,15 +316,21 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
     pubs, left cits, right pubs, right cits, injection year, k), with
     vectors indexed by ascending year.  Mirrored duplicates are pruned by only emitting
     scenarios whose before-ordering is left < right.  Every witness is
-    re-verified through :func:`check_z_consistency` before it is yielded.
-    The witnesses of one (left, right) pair share the same two
+    re-verified before it is yielded by :func:`_verdicts`, the one
+    verifier behind :func:`check_z_consistency`: each witness's tag comes
+    from its own "after" evaluation, while the pair's window read and
+    "before" values are shared by its witnesses, as are the two
     ``JournalData`` objects.
     """
-    for scenario in _iter_scenarios(kind, bounds, equal_pubs):
-        verdict = check_z_consistency(scenario)
-        if verdict.tag is not VerdictTag.REVERSED:
-            raise AssertionError("miner candidate failed self-check")
-        yield ReversalWitness(scenario, verdict)
+    spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
+    for left, right, injections in _iter_scenarios(kind, bounds, equal_pubs):
+        for injection, verdict in zip(
+                injections, _verdicts(left, right, spec, injections),
+                strict=True):
+            if verdict.tag is not VerdictTag.REVERSED:
+                raise AssertionError("miner candidate failed self-check")
+            yield ReversalWitness(
+                PairScenario(left, right, spec, injection), verdict)
 
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
@@ -371,8 +407,11 @@ def _power_above(base: int, power: int, limit: int) -> bool:
 
 
 def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
-                    equal_pubs: bool) -> Iterator[PairScenario]:
-    """The reversing scenarios of the box, in canonical order; a box over
+                    equal_pubs: bool
+                    ) -> Iterator[tuple[JournalData, JournalData,
+                                        list[Injection]]]:
+    """The reversing scenarios of the box, in canonical order, as each
+    oriented pair once with its injections in (year, k) order; a box over
     :data:`_MAX_VECTORS` raises ValidationError before any is listed.
 
     One integer table serves every kind: each (pubs, cits) vector's
@@ -425,9 +464,8 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                             and ks[0] <= k_max]
                     if not runs:
                         continue
-                    left = _journal("L", years, lp, cells, lc)
-                    right = _journal("R", years, rp, cells, rc)
-                    for inj_year, (lo, hi) in runs:
-                        for k in range(lo, min(hi or k_max, k_max) + 1):
-                            yield PairScenario(left, right, spec,
-                                               Injection.single(inj_year, k))
+                    yield (_journal("L", years, lp, cells, lc),
+                           _journal("R", years, rp, cells, rc),
+                           [Injection.single(inj_year, k)
+                            for inj_year, (lo, hi) in runs
+                            for k in range(lo, min(hi or k_max, k_max) + 1)])

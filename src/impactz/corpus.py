@@ -17,12 +17,7 @@ import os
 from contextlib import contextmanager
 from itertools import groupby
 
-from .consistency import (
-    PairScenario,
-    VerdictTag,
-    check_z_consistency,
-    min_reversal_k,
-)
+from .consistency import VerdictTag, _verdicts, min_reversal_k
 from .core import (
     IndicatorSpec,
     Injection,
@@ -405,18 +400,15 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
         per_year: dict[int, int | None] = {}
         for year in denominator_years(spec):
             k = min_reversal_k(left, right, spec, year, k_max)
-            if k is not None and (
-                    not _reverses(left, right, spec, year, k)
-                    or k > 1 and _reverses(left, right, spec, year, k - 1)):
-                raise AssertionError
+            if k is not None:
+                # k reverses the pair and k - 1 does not
+                *below, at = (v.tag is VerdictTag.REVERSED
+                              for v in _verdicts(left, right, spec, [
+                                  Injection.single(year, j)
+                                  for j in range(max(k - 1, 1), k + 1)]))
+                if not at or any(below):
+                    raise AssertionError
             per_year[year] = k
         rows.append(SensitivityRow(upper.journal_id, lower.journal_id,
                                    per_year, k_max))
     return rows
-
-
-def _reverses(left: JournalData, right: JournalData, spec: IndicatorSpec,
-              year: int, k: int) -> bool:
-    verdict = check_z_consistency(
-        PairScenario(left, right, spec, Injection.single(year, k)))
-    return verdict.tag is VerdictTag.REVERSED

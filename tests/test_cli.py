@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -512,6 +513,29 @@ def test_mine_stream_matches_listed_output(kind, n, pub_max, cit_max, k_max):
     if not witnesses:
         assert invoke(_mine_argv(kind, n, pub_max, cit_max, k_max, 10,
                                  "json")) == (0, "[]\n")
+
+
+# sha256 of the whole stdout for the benchmark's mine boxes, recorded from
+# the miner that verified each witness with its own check_z_consistency call
+@pytest.mark.parametrize("kind, pub_max, cit_max, k_max, fmt, digest", [
+    ("sync-roa", 2, 5, 6, "tsv",
+     "48a20865b69ad1209728322a15445bd929dcc9f4b5a3322e643879a4db8efe51"),
+    ("sync-roa", 2, 5, 6, "json",
+     "ef223c7c1dad5328f3a2702d950c2edc1cc12d3c1c921275c17be64e2e86cfa3"),
+    ("diachronous", 4, 6, 4, "tsv",
+     "60e24cbb4ffc5c83517e714fc2471a982135f20233c700e254a11934bb6a6adc"),
+    ("diachronous", 4, 6, 4, "json",
+     "b447583ebcb11b3dd72b65a045ac04a4e6cfd84db5df7d161aac00b0fd933489"),
+    ("sync-aor", 2, 4, 4, "tsv",
+     "88414f10674131340d2305f29f9ba65aefb6bbd677f0a33a610eeac40086734f"),
+    ("sync-aor", 2, 4, 4, "json",
+     "593cc70e0eb7ec96854299a5aafcd48a1f1eb637e270f9178ca82c16627659d9"),
+])
+def test_mine_output_is_pinned(kind, pub_max, cit_max, k_max, fmt, digest):
+    code, out = invoke(_mine_argv(kind, 2, pub_max, cit_max, k_max, 10**6,
+                                  fmt))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class _Sink:

@@ -32,7 +32,11 @@ from impactz import (
     min_reversal_k,
     sync_if_roa,
 )
-from impactz.consistency import _reversal_window, reversal_threshold
+from impactz.consistency import (
+    _reversal_window,
+    _verdicts,
+    reversal_threshold,
+)
 
 from conftest import Y
 
@@ -136,7 +140,7 @@ _OVERLAY_CELLS = ([(Y, y) for y in range(Y - 4, Y)]
 
 
 @st.composite
-def overlay_scenarios(draw):
+def overlay_pairs(draw):
     spec = IndicatorSpec(draw(st.sampled_from(list(IndicatorKind))),
                          draw(st.integers(1, 3)), Y,
                          draw(st.sampled_from([0, 1])))
@@ -146,11 +150,17 @@ def overlay_scenarios(draw):
             name, {y: draw(st.integers(0, 4)) for y in _OVERLAY_YEARS},
             {cell: draw(st.integers(0, 6)) for cell in _OVERLAY_CELLS})
 
-    # years outside every window, and repeated years, are both drawn
-    injection = Injection(draw(st.lists(
-        st.tuples(st.integers(Y - 6, Y + 2), st.integers(1, 5)),
-        max_size=4)))
-    return PairScenario(journal("L"), journal("R"), spec, injection)
+    return journal("L"), journal("R"), spec
+
+
+# years outside every window, and repeated years, are both drawn
+overlay_injections = st.builds(Injection, st.lists(
+    st.tuples(st.integers(Y - 6, Y + 2), st.integers(1, 5)), max_size=4))
+
+
+@st.composite
+def overlay_scenarios(draw):
+    return PairScenario(*draw(overlay_pairs()), draw(overlay_injections))
 
 
 @settings(max_examples=400, deadline=None)
@@ -174,6 +184,37 @@ def test_check_matches_rebuilt_journals(scenario):
     got = check_z_consistency(scenario)
     assert got == want
     assert all(type(v) is Ratio for v in got.before + got.after)
+
+
+_EMPTY_R = JournalData("R", {Y + 1: 3}, {})
+
+
+@settings(max_examples=400, deadline=None)
+@given(overlay_pairs(), st.lists(overlay_injections, max_size=4))
+@example(  # an uncomputable journal, but no injection to verify
+    (JournalData("L", {Y: 2}, {}), _EMPTY_R, DIA3), [])
+@example(  # an uncomputable journal
+    (JournalData("L", {Y: 2}, {}), _EMPTY_R, DIA3),
+    [Injection([(Y, 1)]), Injection([(Y + 1, 2)])])
+@example(  # repeated and out-of-window years, the same injection twice
+    (JournalData("L", {Y - 1: 10, Y - 2: 10},
+                 {(Y, Y - 1): 30, (Y, Y - 2): 30}),
+     JournalData("R", {Y - 1: 30, Y - 2: 30},
+                 {(Y, Y - 1): 60, (Y, Y - 2): 60}), ROA2),
+    [Injection([(Y - 1, 10), (Y - 1, 15), (Y + 7, 1)]), Injection([]),
+     Injection.single(Y - 1, 20), Injection.single(Y - 1, 20)])
+def test_batch_verdicts_match_rebuilt_journals(pair, injections):
+    left, right, spec = pair
+    try:
+        want = [_rebuilt_verdict(PairScenario(left, right, spec, injection))
+                for injection in injections]
+    except ZeroDenominator as exc:
+        with pytest.raises(ZeroDenominator) as got:
+            list(_verdicts(left, right, spec, injections))
+        assert (str(got.value), got.value.year, got.value.journal) \
+            == (str(exc), exc.year, exc.journal)
+        return
+    assert list(_verdicts(left, right, spec, injections)) == want
 
 
 # --- minimal reversing injection -------------------------------------------
@@ -396,6 +437,13 @@ def test_miner_finds_diachronous_reversals():
     assert all(w.verify() for w in witnesses)
 
 
+def test_every_mined_witness_verifies():
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
+    witnesses = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 10**6)
+    assert len(witnesses) == 3804
+    assert all(w.verify() for w in witnesses)
+
+
 def test_miner_deterministic():
     bounds = SearchBounds(n=2, pub_max=4, cit_max=8, k_max=4, target_year=Y)
     first = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 8)
@@ -532,7 +580,7 @@ try:
 @pytest.mark.parametrize("fault", [
     # the miner yields a scenario that does not reverse
     "consistency._iter_scenarios = lambda kind, bounds, equal_pubs: iter("
-    "[PairScenario(K, J, ROA2, Injection.single(1999, 1))])\n"
+    "[(K, J, [Injection.single(1999, 1)])])\n"
     "next(consistency.iter_counterexamples(IndicatorKind.SYNC_ROA, "
     "SearchBounds(2, 1, 1, 1)))",
     # equal publication vectors come out reversed
