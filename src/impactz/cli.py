@@ -163,21 +163,33 @@ def _cmd_mine(args, out) -> int:
 
 
 def _mine_rows(witnesses):
-    """One row per witness; the journal and "before" columns are
-    formatted once per (left, right) pair, which the miner shares across
-    its witnesses."""
+    """One row per witness.  Each journal's pubs and cits columns are
+    formatted once per ``JournalData`` object, which the miner shares
+    across every pair of its box that holds that vector; the "before"
+    column is formatted once per (left, right) pair, and "after" once
+    per witness."""
     import json
+    # id(data) -> (data, columns); holding data keeps its id from reuse
+    held = {}
+
+    def columns(data):
+        entry = held.get(id(data))
+        if entry is None or entry[0] is not data:
+            entry = held[id(data)] = data, (
+                json.dumps(data.pubs, sort_keys=True),
+                json.dumps({f"{c},{d}": v
+                            for (c, d), v in sorted(data.cits.items())}))
+        return entry[1]
+
     left = right = journals = before = None
     for witness in witnesses:
         scenario, verdict = witness.scenario, witness.verdict
         if scenario.left is not left or scenario.right is not right:
             left, right = scenario.left, scenario.right
-            journals = {}
-            for side, data in (("left", left), ("right", right)):
-                journals[f"{side}_pubs"] = json.dumps(data.pubs,
-                                                      sort_keys=True)
-                journals[f"{side}_cits"] = json.dumps(
-                    {f"{c},{d}": v for (c, d), v in sorted(data.cits.items())})
+            (left_pubs, left_cits), (right_pubs, right_cits) = (
+                columns(left), columns(right))
+            journals = {"left_pubs": left_pubs, "left_cits": left_cits,
+                        "right_pubs": right_pubs, "right_cits": right_cits}
             before = (f"{format_exact(verdict.before[0])} vs "
                       f"{format_exact(verdict.before[1])}")
         (year, k), = scenario.injection.additions

@@ -319,8 +319,8 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
     re-verified before it is yielded by :func:`_verdicts`, the one
     verifier behind :func:`check_z_consistency`: each witness's tag comes
     from its own "after" evaluation, while the pair's window read and
-    "before" values are shared by its witnesses, as are the two
-    ``JournalData`` objects.
+    "before" values are shared by its witnesses.  A pair's witnesses
+    share its two ``JournalData`` objects.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     for left, right, injections in _iter_scenarios(kind, bounds, equal_pubs):
@@ -424,6 +424,12 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
     As other_R >= 0, by :func:`_reversing_ks` a left whose other shares
     are all 0 needs p_L > p_R in some year, so it skips every right
     publication vector without one before any of its rows is read.
+
+    Each (side, pubs, cits) vector is one ``JournalData`` object for the
+    whole box, and each (year, k) one ``Injection``, both immutable and
+    shared by every pair that holds them.  Like the table, these caches
+    fill on first use, so they grow with the box's vector count, not
+    with the number of witnesses taken.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     # the sizes of window(spec), known before it is built: n cells, and
@@ -449,6 +455,12 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
     def table(p):  # [(cits, value, per-year (other, p, c))] in cits order
         return [(c, *_terms(aor, den, p, c)) for c in cit_vecs]
 
+    @cache
+    def journal(name, p, c):
+        return _journal(name, years, p, cells, c)
+
+    single = cache(Injection.single)
+
     for lp in pub_vecs:
         rights = [lp] if equal_pubs else pub_vecs
         fewer = [rp for rp in rights if any(map(gt, p_terms[lp], p_terms[rp]))]
@@ -464,8 +476,7 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                             and ks[0] <= k_max]
                     if not runs:
                         continue
-                    yield (_journal("L", years, lp, cells, lc),
-                           _journal("R", years, rp, cells, rc),
-                           [Injection.single(inj_year, k)
+                    yield (journal("L", lp, lc), journal("R", rp, rc),
+                           [single(inj_year, k)
                             for inj_year, (lo, hi) in runs
                             for k in range(lo, min(hi or k_max, k_max) + 1)])

@@ -67,6 +67,21 @@ class Corpus(Record):
                 raise ValidationError(fault)
         self.__dict__["journals"] = journals
 
+    @classmethod
+    def _checked(cls, journals: dict[str, JournalData]) -> Corpus:
+        """A Corpus over ids that the caller has already held to
+        :func:`_id_fault`, as ``JournalData._checked`` is over counts
+        already checked.
+
+        Its one caller is :func:`load_corpus`, which checks each id at
+        the first CSV row that names it, with that row's line number.
+        Every other route, :func:`corpus_from_json` too, goes through
+        ``Corpus(...)``.
+        """
+        self = cls.__new__(cls)
+        self.__dict__["journals"] = journals
+        return self
+
 
 class RankingEntry(Record):
     __match_args__ = ("journal_id", "value", "rank", "tied_with")
@@ -125,18 +140,40 @@ def _csv_errors(reader):
         raise ParseError(reader.line_num, str(exc)) from None
 
 
+def _decode_error(exc: UnicodeDecodeError) -> ParseError:
+    """A ParseError at the CSV record, counted as :func:`load_corpus`
+    counts them, that holds the first byte a whole-file read could not
+    decode; ``exc.object`` is the file's bytes and ``exc.start`` that
+    byte's offset."""
+    # a stand-in for the bad byte ends the text inside its record
+    prefix = exc.object[:exc.start].decode(exc.encoding) + "?"
+    reader = csv.reader(io.StringIO(prefix, newline=None))
+    line = 0
+    try:
+        for line, _ in enumerate(reader, start=1):
+            pass
+    except csv.Error:
+        line += 1  # a field over csv.field_size_limit(): its record
+    return ParseError(line, f"{exc.encoding} cannot decode byte "
+                            f"0x{exc.object[exc.start]:02x}: {exc.reason}")
+
+
 def _csv_body(source, header: list[str]):
     """A ``csv.reader`` past the checked header of a file object, an
     ``os.PathLike`` path, or a ``str`` of CSV text (a ``str`` is never a
     path).  A leading UTF-8 byte-order mark, as spreadsheet programs
-    write, is dropped."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, os.PathLike):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    write, is dropped, and bytes that do not decode are a ParseError at
+    their line."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif isinstance(source, os.PathLike):
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source
+    except UnicodeDecodeError as exc:
+        raise _decode_error(exc) from None
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     with _csv_errors(reader):
         got = next(reader, None)
@@ -239,13 +276,14 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                     f"({journal}, {citing}, {cited})")
             per_journal[cell] = count
 
-    # every count above has passed the rules that JournalData applies
+    # every count and id above has passed the rules that JournalData and
+    # Corpus apply
     journals = {
         journal_id: JournalData._checked(journal_id, pubs.get(journal_id, {}),
                                          cits.get(journal_id, {}))
         for journal_id in sorted(set(pubs) | set(cits))
     }
-    return Corpus(journals)
+    return Corpus._checked(journals)
 
 
 def corpus_to_json(corpus: Corpus) -> str:

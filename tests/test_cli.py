@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from impactz import (
     IndicatorKind,
     SearchBounds,
     cli,
+    consistency,
     format_exact,
     mine_counterexamples,
     rank,
@@ -438,6 +440,24 @@ def test_bad_row_error_line_is_pinned(tmp_path, capsys, which, text,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"journal,year,p\xfcbs\n",
+     "line 1: utf-8 cannot decode byte 0xfc: invalid start byte"),
+    (b"journal,year,pubs\nJ,1998,10\nJ,1999,10\nK\xe9,1998,30\n",
+     "line 4: utf-8 cannot decode byte 0xe9: invalid continuation byte"),
+    (b'journal,year,pubs\n"J\nK",1998,10\nL,1998,\xc3\n',
+     "line 3: utf-8 cannot decode byte 0xc3: invalid continuation byte"),
+])
+def test_non_utf8_csv_error_names_its_line(tmp_path, capsys, raw, message):
+    (tmp_path / "pubs.csv").write_bytes(raw)
+    (tmp_path / "cits.csv").write_text(_GOOD_CITS)
+    code, out = invoke(["compute", "--pubs", str(tmp_path / "pubs.csv"),
+                        "--cits", str(tmp_path / "cits.csv"),
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- streamed mine output ----------------------------------------------------
 
 _MINE_COLUMNS = ["left_pubs", "left_cits", "right_pubs", "right_cits",
@@ -513,6 +533,36 @@ def test_mine_stream_matches_listed_output(kind, n, pub_max, cit_max, k_max):
     if not witnesses:
         assert invoke(_mine_argv(kind, n, pub_max, cit_max, k_max, 10,
                                  "json")) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_mine_rows_hold_what_they_memoise(fmt):
+    # each witness is a fresh deep copy, dropped once its row is built, so
+    # its journals' ids are free for the next copy's journals to take
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
+    witnesses = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 500)
+    out = io.StringIO()
+    cli._emit(cli._mine_rows(copy.deepcopy(w) for w in witnesses), fmt,
+              out)
+    assert (out.getvalue().splitlines()
+            == _listed_mine_output(witnesses, fmt).splitlines())
+
+
+def test_mine_builds_few_journals_in_a_large_box(monkeypatch):
+    # 90,000 publication and 90,601 citation vectors; the first 10
+    # witnesses build only the journals of their own pairs
+    calls = []
+    build = consistency._journal
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(consistency, "_journal", counted)
+    code, out = invoke(_mine_argv("sync-roa", 2, 300, 300, 3, 10, "tsv"))
+    assert code == 0
+    assert out.count("\n") == 10
+    assert len(calls) <= 20
 
 
 # sha256 of the whole stdout for the benchmark's mine boxes, recorded from

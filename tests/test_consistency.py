@@ -32,7 +32,9 @@ from impactz import (
     min_reversal_k,
     sync_if_roa,
 )
+from impactz import consistency
 from impactz.consistency import (
+    _iter_scenarios,
     _reversal_window,
     _verdicts,
     reversal_threshold,
@@ -442,6 +444,41 @@ def test_every_mined_witness_verifies():
     witnesses = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 10**6)
     assert len(witnesses) == 3804
     assert all(w.verify() for w in witnesses)
+
+
+@pytest.mark.parametrize("kind, pub_max, cit_max, k_max, journals", [
+    # the benchmark's mine boxes: 596 journals for 4,146 pairs
+    ("sync-roa", 2, 5, 6, 158),
+    ("diachronous", 4, 6, 4, 256),
+    ("sync-aor", 2, 4, 4, 182),
+])
+def test_miner_builds_each_vector_once(monkeypatch, kind, pub_max, cit_max,
+                                       k_max, journals):
+    calls = []
+    build = consistency._journal
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(consistency, "_journal", counted)
+    bounds = SearchBounds(n=2, pub_max=pub_max, cit_max=cit_max,
+                          k_max=k_max, target_year=Y)
+    # the dicts hold every object, so no id is reused while they are read
+    by_vector, by_addition = {}, {}
+    pairs = 0
+    for left, right, injections in _iter_scenarios(IndicatorKind(kind),
+                                                   bounds, False):
+        pairs += 1
+        for data in (left, right):
+            key = (data.journal_id, tuple(data.pubs.items()),
+                   tuple(data.cits.items()))
+            assert by_vector.setdefault(key, data) is data
+        for injection in injections:
+            assert by_addition.setdefault(injection.additions,
+                                          injection) is injection
+    assert len(calls) == len(by_vector) == journals < 2 * pairs
+    assert len(by_addition) <= 2 * k_max
 
 
 def test_miner_deterministic():

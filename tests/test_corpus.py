@@ -27,6 +27,7 @@ from impactz import (
     sync_if_roa,
 )
 from impactz import core
+from impactz import corpus as corpus_module
 
 from conftest import Y
 
@@ -508,6 +509,51 @@ def test_load_corpus_checks_each_count_once(monkeypatch):
     assert calls == {"year": 5, "count": 10, "citing year": 5,
                      "cited year": 5}
     assert corpus.journals["K"] == JournalData("K", {Y - 2: 7})
+
+
+def test_load_corpus_checks_each_journal_id_once(monkeypatch):
+    # load_corpus checks an id at the first row that names it in each
+    # file; the Corpus it builds does not check the ids again
+    calls = Counter()
+    id_fault = corpus_module._id_fault
+
+    def counted(journal_id):
+        calls[journal_id] += 1
+        return id_fault(journal_id)
+
+    monkeypatch.setattr(corpus_module, "_id_fault", counted)
+    pubs = PUBS_1A + f"K,{Y - 1},0\nK,{Y - 2},7\n"
+    cits = CITS_1A + f"K,{Y},{Y},0\nL,{Y},{Y - 1},3\n"
+    corpus = load_corpus(pubs, cits)
+    # J, J' and K first seen in the publications, J, J', K and L in the
+    # citations
+    assert calls == {"J": 2, "J'": 2, "K": 2, "L": 1}
+    calls.clear()
+    assert Corpus(corpus.journals) == corpus
+    assert calls == {"J": 1, "J'": 1, "K": 1, "L": 1}
+
+
+_BAD_BYTES = [
+    # (publications file, line of its first byte that is not UTF-8)
+    (b"journ\xe9l,year,pubs\nJ,1998,10\n", 1),
+    (b"journal,year,pubs\nJ,1998,10\nJ,1999,10\nK\xe9,1998,30\n", 4),
+    (b'journal,year,pubs\n"J\nK",1998,10\r\n\nL,1998,1\xff\n', 4),
+]
+
+
+@pytest.mark.parametrize("raw, line", _BAD_BYTES)
+def test_non_utf8_csv_is_parse_error_at_its_line(tmp_path, raw, line):
+    # lines count CSV records, header as line 1, as every load error does
+    path = tmp_path / "pubs.csv"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as fh:
+        sources = {"file object": fh, "path": path}
+        for route, source in sources.items():
+            with pytest.raises(ParseError) as exc_info:
+                load_corpus(source, "")
+            assert exc_info.value.line == line, route
+            assert str(exc_info.value).startswith(f"line {line}: utf-8 "
+                                                  "cannot decode byte 0x")
 
 
 def test_only_checked_routes_skip_the_count_rules():
