@@ -10,12 +10,12 @@ fresh violations.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import cache
 from itertools import islice, product
 from math import isqrt, lcm
-from operator import add, gt
+from operator import gt
 
 from .core import (
     IndicatorKind,
@@ -119,56 +119,78 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     """Decide whether the injection preserves, ties, or reverses the
     pair's ordering.  Comparisons are exact; there is no tolerance.
 
-    This is the one verifier, :func:`_verdicts`, for one injection.  The
-    miner and the sensitivity check call :func:`_verdicts` with all the
-    injections of one pair, so they share that pair's window read and
-    "before" values, while each verdict's tag still comes from its own
-    "after" evaluation.
+    This is the one verifier, a fresh :func:`_verifier` for one
+    scenario, so every call recomputes the verdict from raw data.  The
+    miner and the sensitivity check keep one :func:`_verifier` for a
+    whole box or report instead.
     """
-    verdict, = _verdicts(scenario.left, scenario.right, scenario.spec,
-                         (scenario.injection,))
-    return verdict
+    return _verifier(scenario.spec)(scenario.left, scenario.right,
+                                    scenario.injection)
 
 
-def _verdicts(left: JournalData, right: JournalData, spec: IndicatorSpec,
-              injections: Sequence[Injection]) -> Iterator[Verdict]:
-    """The :func:`check_z_consistency` verdict of each of ``injections``,
-    applied to both journals, in order.
+def _verifier(spec: IndicatorSpec
+              ) -> Callable[[JournalData, JournalData, Injection], Verdict]:
+    """``verify(left, right, injection)``: the verdict of ``injection``
+    applied to both journals, under ``spec``.
 
-    The window and both journals' counts are read once, and "before" is
-    evaluated once (its ``ZeroDenominator`` raised at the first
-    verdict).  Each injection's "after" evaluates the same counts with
-    its publications added per year, and its tag follows the signs of
-    the cross-multiplied integer gaps; the ``Ratio`` values are built
-    only for the verdict.
+    Each journal's window counts and "before" value are evaluated once,
+    and its "after" value once per distinct injection, for as long as
+    the verifier lives; each value is ``(num, den, Ratio)`` from
+    :func:`_evaluate` over that journal's own counts.  The tag follows
+    the signs of the exact cross-multiplied integer gaps before and
+    after.  Values are evaluated left before right, "before" before
+    "after", and a ``ZeroDenominator`` names its phase and is not held.
+
+    The memo is keyed by ``id(data)`` and holds ``data``, so no id is
+    reused while the verifier lives; it never sees a change to a
+    journal's counts.  So a verifier serves one miner box or one
+    sensitivity report, whose journals nothing mutates.
     """
-    if not injections:
-        return
     years, cells = window(spec)
-    counts = [(data.journal_id, *_window_counts(data, years, cells))
-              for data in (left, right)]
-    (nl, dl), (nr, dr) = (_phase_value(spec, years, *count, "before")
-                          for count in counts)
-    before = nl * dr - nr * dl
-    before_ratios = (Ratio(nl, dl), Ratio(nr, dr))
-    for injection in injections:
-        added = injection.per_year()
-        extra = [added.get(y, 0) for y in years]
-        (nl_k, dl_k), (nr_k, dr_k) = (
-            _phase_value(spec, years, journal_id,
-                         list(map(add, pubs, extra)), cits, "after")
-            for journal_id, pubs, cits in counts)
-        after = nl_k * dr_k - nr_k * dl_k
+    # id(data) -> (data, window counts, before, {additions: after})
+    held = {}
+
+    def value(data, pubs, cits, phase):
+        num, den = _phase_value(spec, years, data.journal_id, pubs, cits,
+                                phase)
+        return num, den, Ratio(num, den)
+
+    def journal(data):
+        entry = held.get(id(data))
+        if entry is None:
+            counts = _window_counts(data, years, cells)
+            entry = held[id(data)] = (data, counts,
+                                      value(data, *counts, "before"), {})
+        return entry
+
+    def after(entry, injection):
+        data, (pubs, cits), _, afters = entry
+        found = afters.get(injection.additions)
+        if found is None:
+            added = injection.per_year()
+            found = afters[injection.additions] = value(
+                data, [p + added.get(y, 0) for y, p in zip(years, pubs)],
+                cits, "after")
+        return found
+
+    def verify(left, right, injection):
+        held_l, held_r = journal(left), journal(right)
+        (nl, dl, before_l), (nr, dr, before_r) = held_l[2], held_r[2]
+        (nl_k, dl_k, after_l), (nr_k, dr_k, after_r) = (
+            after(held_l, injection), after(held_r, injection))
+        before = nl * dr - nr * dl
+        gap = nl_k * dr_k - nr_k * dl_k
         if not before:
             tag = VerdictTag.TIE_BEFORE
-        elif not after:
+        elif not gap:
             tag = VerdictTag.TIE_AFTER
-        elif (before < 0) != (after < 0):
+        elif (before < 0) != (gap < 0):
             tag = VerdictTag.REVERSED
         else:
             tag = VerdictTag.PRESERVED
-        yield Verdict(tag, before_ratios,
-                      (Ratio(nl_k, dl_k), Ratio(nr_k, dr_k)))
+        return Verdict(tag, (before_l, before_r), (after_l, after_r))
+
+    return verify
 
 
 def _phase_value(spec: IndicatorSpec, years, journal_id: str, pubs, cits,
@@ -314,19 +336,22 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
     One miner, :func:`_iter_scenarios`, serves all three kinds over one
     integer table.  Output order is canonical: lexicographic over (left
     pubs, left cits, right pubs, right cits, injection year, k), with
-    vectors indexed by ascending year.  Mirrored duplicates are pruned by only emitting
-    scenarios whose before-ordering is left < right.  Every witness is
-    re-verified before it is yielded by :func:`_verdicts`, the one
-    verifier behind :func:`check_z_consistency`: each witness's tag comes
-    from its own "after" evaluation, while the pair's window read and
-    "before" values are shared by its witnesses.  A pair's witnesses
-    share its two ``JournalData`` objects.
+    vectors indexed by ascending year.  Mirrored duplicates are pruned by
+    only emitting scenarios whose before-ordering is left < right.  Every
+    witness is re-verified before it is yielded, by one call to the box's
+    :func:`_verifier`, the one verifier behind
+    :func:`check_z_consistency`: each tag comes from the exact values of
+    the witness's own journals and injection, and each journal's
+    "before" and each (journal, injection) "after" is evaluated once per
+    box.  A pair's witnesses share its two ``JournalData`` objects.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
+    verify = None
     for left, right, injections in _iter_scenarios(kind, bounds, equal_pubs):
-        for injection, verdict in zip(
-                injections, _verdicts(left, right, spec, injections),
-                strict=True):
+        if verify is None:  # only now has the box passed its size check
+            verify = _verifier(spec)
+        for injection in injections:
+            verdict = verify(left, right, injection)
             if verdict.tag is not VerdictTag.REVERSED:
                 raise AssertionError("miner candidate failed self-check")
             yield ReversalWitness(
@@ -409,10 +434,12 @@ def _power_above(base: int, power: int, limit: int) -> bool:
 def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                     equal_pubs: bool
                     ) -> Iterator[tuple[JournalData, JournalData,
-                                        list[Injection]]]:
+                                        Iterator[Injection]]]:
     """The reversing scenarios of the box, in canonical order, as each
     oriented pair once with its injections in (year, k) order; a box over
     :data:`_MAX_VECTORS` raises ValidationError before any is listed.
+    A pair's injections are a generator, built only as they are taken,
+    so taking one witness does not build a pair's k_max injections.
 
     One integer table serves every kind: each (pubs, cits) vector's
     :func:`_terms` over ``den``, the lcm of every divisor the box can
@@ -428,8 +455,9 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
     Each (side, pubs, cits) vector is one ``JournalData`` object for the
     whole box, and each (year, k) one ``Injection``, both immutable and
     shared by every pair that holds them.  Like the table, these caches
-    fill on first use, so they grow with the box's vector count, not
-    with the number of witnesses taken.
+    fill on first use, so they grow with the box's vector count and at
+    most |years| * k_max injections, not with the number of witnesses
+    taken.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     # the sizes of window(spec), known before it is built: n cells, and
@@ -477,6 +505,6 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                     if not runs:
                         continue
                     yield (journal("L", lp, lc), journal("R", rp, rc),
-                           [single(inj_year, k)
+                           (single(inj_year, k)
                             for inj_year, (lo, hi) in runs
-                            for k in range(lo, min(hi or k_max, k_max) + 1)])
+                            for k in range(lo, min(hi or k_max, k_max) + 1)))

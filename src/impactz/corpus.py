@@ -17,7 +17,7 @@ import os
 from contextlib import contextmanager
 from itertools import groupby
 
-from .consistency import VerdictTag, _verdicts, min_reversal_k
+from .consistency import VerdictTag, _verifier, min_reversal_k
 from .core import (
     IndicatorSpec,
     Injection,
@@ -428,7 +428,13 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
 def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
                       k_max: int) -> list[SensitivityRow]:
     """:func:`sensitivity_report` over ``ranking``, which the caller has
-    computed as ``rank(corpus, spec)``."""
+    computed as ``rank(corpus, spec)``.
+
+    Each minimum is checked by one :func:`_verifier` for the whole
+    report, so a journal's "before" value is evaluated once however many
+    pairs and years it takes part in; nothing mutates the corpus's
+    journals while the report runs."""
+    verify = _verifier(spec)
     rows: list[SensitivityRow] = []
     for upper, lower in zip(ranking.entries, ranking.entries[1:]):
         if upper.value == lower.value:
@@ -440,10 +446,10 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
             k = min_reversal_k(left, right, spec, year, k_max)
             if k is not None:
                 # k reverses the pair and k - 1 does not
-                *below, at = (v.tag is VerdictTag.REVERSED
-                              for v in _verdicts(left, right, spec, [
-                                  Injection.single(year, j)
-                                  for j in range(max(k - 1, 1), k + 1)]))
+                *below, at = (
+                    verify(left, right, Injection.single(year, j)).tag
+                    is VerdictTag.REVERSED
+                    for j in range(max(k - 1, 1), k + 1))
                 if not at or any(below):
                     raise AssertionError
             per_year[year] = k

@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -36,7 +37,7 @@ from impactz import consistency
 from impactz.consistency import (
     _iter_scenarios,
     _reversal_window,
-    _verdicts,
+    _verifier,
     reversal_threshold,
 )
 
@@ -206,17 +207,24 @@ _EMPTY_R = JournalData("R", {Y + 1: 3}, {})
     [Injection([(Y - 1, 10), (Y - 1, 15), (Y + 7, 1)]), Injection([]),
      Injection.single(Y - 1, 20), Injection.single(Y - 1, 20)])
 def test_batch_verdicts_match_rebuilt_journals(pair, injections):
+    # one verifier for every injection, on the pair and then swapped, so
+    # later verdicts read the values that earlier ones held
     left, right, spec = pair
-    try:
-        want = [_rebuilt_verdict(PairScenario(left, right, spec, injection))
-                for injection in injections]
-    except ZeroDenominator as exc:
-        with pytest.raises(ZeroDenominator) as got:
-            list(_verdicts(left, right, spec, injections))
-        assert (str(got.value), got.value.year, got.value.journal) \
-            == (str(exc), exc.year, exc.journal)
-        return
-    assert list(_verdicts(left, right, spec, injections)) == want
+    verify = _verifier(spec)
+    for first, second in ((left, right), (right, left)):
+        for injection in injections:
+            try:
+                want = _rebuilt_verdict(
+                    PairScenario(first, second, spec, injection))
+            except ZeroDenominator as exc:
+                with pytest.raises(ZeroDenominator) as got:
+                    verify(first, second, injection)
+                assert (str(got.value), got.value.year, got.value.journal) \
+                    == (str(exc), exc.year, exc.journal)
+                continue
+            got = verify(first, second, injection)
+            assert got == want
+            assert all(type(v) is Ratio for v in got.before + got.after)
 
 
 # --- minimal reversing injection -------------------------------------------
@@ -479,6 +487,68 @@ def test_miner_builds_each_vector_once(monkeypatch, kind, pub_max, cit_max,
                                           injection) is injection
     assert len(calls) == len(by_vector) == journals < 2 * pairs
     assert len(by_addition) <= 2 * k_max
+
+
+@pytest.mark.parametrize("kind, pub_max, cit_max, k_max, evaluations", [
+    # the benchmark's mine boxes: 3,869 values for 15,226 witnesses
+    ("sync-roa", 2, 5, 6, 1628),
+    ("diachronous", 4, 6, 4, 1121),
+    ("sync-aor", 2, 4, 4, 1120),
+])
+def test_miner_evaluates_each_value_once(monkeypatch, kind, pub_max, cit_max,
+                                         k_max, evaluations):
+    calls = []
+    evaluate = consistency._evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(consistency, "_evaluate", counted)
+    bounds = SearchBounds(n=2, pub_max=pub_max, cit_max=cit_max,
+                          k_max=k_max, target_year=Y)
+    # the list holds every journal, so their ids are distinct
+    witnesses = list(consistency.iter_counterexamples(IndicatorKind(kind),
+                                                      bounds))
+    journals = {id(data) for w in witnesses
+                for data in (w.scenario.left, w.scenario.right)}
+    afters = {(id(data), w.scenario.injection.additions) for w in witnesses
+              for data in (w.scenario.left, w.scenario.right)}
+    # one "before" per journal and one "after" per (journal, injection)
+    assert len(calls) == len(journals) + len(afters) == evaluations
+
+
+def test_verifier_holds_what_it_memoises():
+    # each pair is a fresh deep copy, dropped once verified, so its
+    # journals' ids are free for the next copy's journals to take
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
+    witnesses = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 500)
+    verify = _verifier(witnesses[0].scenario.spec)
+    for witness in witnesses:
+        scenario = copy.deepcopy(witness.scenario)
+        assert verify(scenario.left, scenario.right, scenario.injection) \
+            == check_z_consistency(scenario) == witness.verdict
+        del scenario
+
+
+def test_first_witness_builds_few_injections(monkeypatch):
+    # the box's first pair reverses at both years for every k from 2 to
+    # k_max, so a list of its injections would hold 2 * (10**6 - 1)
+    built = []
+    single = Injection.single
+
+    def counted(year, k):
+        built.append((year, k))
+        assert len(built) <= 4, "injections built ahead of use"
+        return single(year, k)
+
+    monkeypatch.setattr(Injection, "single", staticmethod(counted))
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=5, k_max=10**6,
+                          target_year=Y)
+    witness = next(consistency.iter_counterexamples(IndicatorKind.SYNC_ROA,
+                                                    bounds))
+    assert witness.verify()
+    assert built == [witness.scenario.injection.additions[0]]
 
 
 def test_miner_deterministic():
