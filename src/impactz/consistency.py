@@ -360,9 +360,12 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
     """A miner vector pair as JournalData; the box keeps the count
-    contract by construction, so the counts are not checked again."""
-    return JournalData._checked(name, dict(zip(years, pubs_vec)),
-                                dict(zip(cells, cits_vec)))
+    contract by construction, so the counts are not checked again.
+    Publication counts are >= 1; zero citation cells are left out, as
+    ``JournalData._checked`` takes no zero entry."""
+    return JournalData._checked(
+        name, dict(zip(years, pubs_vec)),
+        {cell: count for cell, count in zip(cells, cits_vec) if count})
 
 
 def _terms(aor: bool, den: int, pubs, cits

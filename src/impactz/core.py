@@ -135,13 +135,15 @@ class JournalData(Record):
                 raise ValidationError(
                     f"journal {journal_id!r}, "
                     f"cits[{(citing, cited)!r}]: {fault}")
-        self._store(journal_id, pubs, cits)
+        self._store(journal_id,
+                    {year: count for year, count in pubs.items() if count},
+                    {cell: count for cell, count in cits.items() if count})
 
     @classmethod
-    def _checked(cls, journal_id: str, pubs: Mapping[Year, int],
-                 cits: Mapping[tuple[Year, Year], int]) -> JournalData:
+    def _checked(cls, journal_id: str, pubs: dict[Year, int],
+                 cits: dict[tuple[Year, Year], int]) -> JournalData:
         """A JournalData over counts that the caller has already held to
-        the count contract.
+        the count contract, handed over as :meth:`_store` takes them.
 
         It has two callers, each of which checks no less than
         ``__init__``: ``corpus.load_corpus``, whose every CSV row has
@@ -156,13 +158,16 @@ class JournalData(Record):
         self._store(journal_id, pubs, cits)
         return self
 
-    def _store(self, journal_id: str, pubs: Mapping, cits: Mapping) -> None:
-        """Set the fields from copies of the counts without zero entries,
-        so that later changes to the caller's mappings do not show."""
+    def _store(self, journal_id: str, pubs: dict, cits: dict) -> None:
+        """Set the fields to ``pubs`` and ``cits`` themselves, not to
+        copies.  The caller hands over fresh dicts that hold no zero
+        entry and never touches them again, so no later change shows;
+        ``__init__`` hands over zero-free copies of its caller's
+        mappings."""
         fields = self.__dict__
         fields["journal_id"] = journal_id
-        fields["pubs"] = {year: count for year, count in pubs.items() if count}
-        fields["cits"] = {cell: count for cell, count in cits.items() if count}
+        fields["pubs"] = pubs
+        fields["cits"] = cits
 
 
 class IndicatorKind(Enum):

@@ -221,7 +221,13 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     records, with the header as line 1, so a quoted line break does not
     advance it.  A row with a wrong field count is reported as such;
     otherwise the first field that is not an integer is the one reported.
+
+    The loaded corpus holds each count once: the per-journal dicts built
+    here become the journals' own, and every journal shares one object
+    per distinct year and per distinct (citing, cited) cell.
     """
+    keys: dict = {}  # each distinct year and cell, first object seen
+    zeroed: set[str] = set()  # journals with a zero-count row
     pubs: dict[str, dict[int, int]] = {}
     reader = _csv_body(pubs_source, _PUBS_HEADER)
     with _csv_errors(reader):
@@ -237,6 +243,7 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
             if fault := _sign_fault(count, "publication"):
                 raise ValidationError(f"line {line}: {fault}")
             journal = journal.strip()
+            year = keys.setdefault(year, year)
             per_journal = pubs.get(journal)
             if per_journal is None:
                 if fault := _id_fault(journal):
@@ -247,6 +254,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                     f"line {line}: duplicate publication row for "
                     f"({journal}, {year})")
             per_journal[year] = count
+            if not count:
+                zeroed.add(journal)
 
     cits: dict[str, dict[tuple[int, int], int]] = {}
     reader = _csv_body(cits_source, _CITS_HEADER)
@@ -265,6 +274,7 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                 raise ValidationError(f"line {line}: {fault}")
             journal = journal.strip()
             cell = (citing, cited)
+            cell = keys.setdefault(cell, cell)
             per_journal = cits.get(journal)
             if per_journal is None:
                 if fault := _id_fault(journal):
@@ -275,9 +285,17 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                     f"line {line}: duplicate citation row for "
                     f"({journal}, {citing}, {cited})")
             per_journal[cell] = count
+            if not count:
+                zeroed.add(journal)
 
+    # zero rows are dropped only now, so that a later row for the same
+    # key is still a duplicate at its line
+    for journal in zeroed:
+        for counts in (pubs.get(journal, {}), cits.get(journal, {})):
+            for key in [key for key, count in counts.items() if not count]:
+                del counts[key]
     # every count and id above has passed the rules that JournalData and
-    # Corpus apply
+    # Corpus apply, and each dict is handed over, zero-free, to one journal
     journals = {
         journal_id: JournalData._checked(journal_id, pubs.get(journal_id, {}),
                                          cits.get(journal_id, {}))

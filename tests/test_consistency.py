@@ -489,6 +489,32 @@ def test_miner_builds_each_vector_once(monkeypatch, kind, pub_max, cit_max,
     assert len(by_addition) <= 2 * k_max
 
 
+@pytest.mark.parametrize("kind", ["sync-roa", "diachronous", "sync-aor"])
+def test_mined_journals_match_checked_construction(monkeypatch, kind):
+    # _journal skips the count rules and hands its dicts over uncopied;
+    # each journal it builds equals the checked constructor's and holds
+    # no zero entry, though the box's citation vectors hold zeros
+    built = []
+    build = consistency._journal
+
+    def kept(*args):
+        built.append((args, build(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(consistency, "_journal", kept)
+    bounds = SearchBounds(n=2, pub_max=3, cit_max=3, k_max=4, target_year=Y)
+    yielded = [data for *pair, _ in _iter_scenarios(IndicatorKind(kind),
+                                                     bounds, False)
+               for data in pair]
+    # both lists hold their objects, so no id is reused
+    assert {id(data) for data in yielded} <= {id(data) for _, data in built}
+    assert any(0 in cits_vec for (*_, cits_vec), _ in built)
+    for (name, years, pubs_vec, cells, cits_vec), data in built:
+        assert all(data.pubs.values()) and all(data.cits.values())
+        assert data == JournalData(name, dict(zip(years, pubs_vec)),
+                                   dict(zip(cells, cits_vec)))
+
+
 @pytest.mark.parametrize("kind, pub_max, cit_max, k_max, evaluations", [
     # the benchmark's mine boxes: 3,869 values for 15,226 witnesses
     ("sync-roa", 2, 5, 6, 1628),

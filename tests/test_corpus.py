@@ -1,8 +1,10 @@
 import ast
 import csv
+import gc
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -410,6 +412,9 @@ def _loader_text(fields: list[str]) -> st.SearchStrategy[str]:
 @example("", f"{_CITS_HEADER}\nJ,1998,1999,5\n")
 @example(f"{_PUBS_HEADER}\nJ,1999,1\n J ,1999,2\n", "")
 @example("", f"{_CITS_HEADER}\nJ,2000,1999,1\nJ,2000,1999,1\n")
+# a zero row is a key too: the row after it is the duplicate
+@example(f"{_PUBS_HEADER}\nJ,1999,0\nJ,1999,5\n",
+         f"{_CITS_HEADER}\nJ,2000,1999,0\nJ,2000,1999,5\n")
 @example("journal,pubs\n", "")
 @example("", "journal,citing_year,count\n")
 @example(f"{_PUBS_HEADER}\n ,1999,1\n", "")
@@ -509,6 +514,94 @@ def test_load_corpus_checks_each_count_once(monkeypatch):
     assert calls == {"year": 5, "count": 10, "citing year": 5,
                      "cited year": 5}
     assert corpus.journals["K"] == JournalData("K", {Y - 2: 7})
+
+
+_ZERO_ROWS = {
+    # (header, row with its key, and the id and key in the duplicate error)
+    "pubs": (_PUBS_HEADER, "J,1999,{}", "publication row for (J, 1999)"),
+    "cits": (_CITS_HEADER, "J,2000,1999,{}",
+             "citation row for (J, 2000, 1999)"),
+}
+
+
+def _load_one(which: str, body: str) -> Corpus:
+    """load_corpus with ``body`` under the header of the ``which`` file
+    and an empty other file."""
+    text = f"{_ZERO_ROWS[which][0]}\n{body}"
+    return load_corpus(text, "") if which == "pubs" else load_corpus("", text)
+
+
+@pytest.mark.parametrize("which", ["pubs", "cits"])
+@pytest.mark.parametrize("first, second", [(0, 5), (5, 0), (0, 0)])
+def test_duplicate_with_a_zero_row_is_rejected(which, first, second):
+    # zero rows are dropped only after every row is read, so a zero row
+    # and a row for the same key are still a duplicate at the second
+    _, row, key = _ZERO_ROWS[which]
+    body = "K,1999,3\n" if which == "pubs" else "K,2000,1999,3\n"
+    body += f"{row.format(first)}\n \n{row.format(second)}\n"
+    with pytest.raises(ValidationError) as exc_info:
+        _load_one(which, body)
+    assert str(exc_info.value) == f"line 5: duplicate {key}"
+
+
+@pytest.mark.parametrize("which", ["pubs", "cits"])
+def test_journal_of_zero_rows_loads_empty(which):
+    _, row, _ = _ZERO_ROWS[which]
+    other = row.format(0).replace("1999", "1998")
+    corpus = _load_one(which, f"{row.format(0)}\n{other}\n")
+    assert corpus.journals == {"J": JournalData("J", {}, {})}
+
+
+def _seeded_csv(seed: int, journals: int) -> tuple[str, str, int]:
+    """A publications and a citations CSV over ``journals`` journals, each
+    publishing from a seeded first year to 2012 and cited for up to five
+    years, with about one count in 20 zero; and the row count."""
+    rng = random.Random(seed)
+    pub_rows, cit_rows = [], []
+    for number in range(journals):
+        journal = f"J{number:04d}"
+        for year in range(2012 - rng.randint(0, 25), 2013):
+            count = rng.randint(0, 20) and rng.randint(1, 400)
+            pub_rows.append(f"{journal},{year},{count}")
+            for citing in range(year, min(year + 5, 2013)):
+                count = rng.randint(0, 20) and rng.randint(1, 1200)
+                cit_rows.append(f"{journal},{citing},{year},{count}")
+    return (f"{_PUBS_HEADER}\n" + "\n".join(pub_rows) + "\n",
+            f"{_CITS_HEADER}\n" + "\n".join(cit_rows) + "\n",
+            len(pub_rows) + len(cit_rows))
+
+
+def test_loaded_journals_hold_no_zero_entry():
+    pubs, cits, _ = _seeded_csv(18, 60)
+    corpus = load_corpus(pubs, cits)
+    assert ",0\n" in pubs and ",0\n" in cits
+    for data in corpus.journals.values():
+        assert all(data.pubs.values()) and all(data.cits.values())
+    assert corpus == _reference_load(pubs, cits)
+
+
+def test_loaded_corpus_holds_each_key_once():
+    # every journal shares one object per distinct year and cell
+    pubs, cits, rows = _seeded_csv(7, 400)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        corpus = load_corpus(pubs, cits)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # about 65 bytes a row, most of it dict slots and counts over 256; a
+    # year int, or a cell tuple and its two ints, of each row's own make
+    # it over 150
+    assert kept < 100 * rows, kept / rows
+    years, cells = {}, {}
+    for data in corpus.journals.values():
+        for year in data.pubs:
+            assert years.setdefault(year, year) is year
+        for cell in data.cits:
+            assert cells.setdefault(cell, cell) is cell
+    assert len(years) == 26 and len(cells) == 26 * 5 - 10
 
 
 def test_load_corpus_checks_each_journal_id_once(monkeypatch):

@@ -150,6 +150,19 @@ def test_journal_default_dicts_are_not_shared():
     assert a.pubs is not b.pubs and a.cits is not b.cits
 
 
+def test_journal_copies_its_mappings_and_checked_adopts_its_dicts():
+    # JournalData(...) stores zero-free copies, so the caller's later
+    # changes do not show; _checked takes over the dicts it is handed
+    pubs, cits = {Y - 1: 3, Y - 2: 0}, {(Y, Y - 1): 2}
+    data = JournalData("J", pubs, cits)
+    pubs[Y - 1] = 9
+    cits.clear()
+    assert (data.pubs, data.cits) == ({Y - 1: 3}, {(Y, Y - 1): 2})
+    pubs, cits = {Y - 1: 3}, {(Y, Y - 1): 2}
+    data = JournalData._checked("J", pubs, cits)
+    assert data.pubs is pubs and data.cits is cits
+
+
 def test_defaults_match_keyword_construction():
     assert IndicatorSpec(IndicatorKind.SYNC_ROA, 2, Y) == IndicatorSpec(
         **_SPEC)
