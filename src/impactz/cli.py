@@ -174,7 +174,7 @@ def _mine_rows(witnesses):
 
     def columns(data):
         entry = held.get(id(data))
-        if entry is None or entry[0] is not data:
+        if entry is None:
             entry = held[id(data)] = data, (
                 json.dumps(data.pubs, sort_keys=True),
                 json.dumps({f"{c},{d}": v

@@ -138,8 +138,12 @@ def _verifier(spec: IndicatorSpec
     the verifier lives; each value is ``(num, den, Ratio)`` from
     :func:`_evaluate` over that journal's own counts.  The tag follows
     the signs of the exact cross-multiplied integer gaps before and
-    after.  Values are evaluated left before right, "before" before
-    "after", and a ``ZeroDenominator`` names its phase and is not held.
+    after.  Values are evaluated left ("before", then "after"), then
+    right.  A "before" ``ZeroDenominator`` names its phase and is not
+    held.  "After" cannot raise one: an ``Injection`` only adds counts
+    > 0, so no window year has fewer publications than before, and
+    sync-roa's ``any(pubs)`` and the other kinds' ``all(pubs)`` still
+    hold.
 
     The memo is keyed by ``id(data)`` and holds ``data``, so no id is
     reused while the verifier lives; it never sees a change to a
@@ -147,37 +151,34 @@ def _verifier(spec: IndicatorSpec
     sensitivity report, whose journals nothing mutates.
     """
     years, cells = window(spec)
-    # id(data) -> (data, window counts, before, {additions: after})
+    # id(data) -> (data, pubs, cits, before, {additions: after})
     held = {}
 
-    def value(data, pubs, cits, phase):
-        num, den = _phase_value(spec, years, data.journal_id, pubs, cits,
-                                phase)
-        return num, den, Ratio(num, den)
-
-    def journal(data):
+    def values(data, injection):
         entry = held.get(id(data))
         if entry is None:
-            counts = _window_counts(data, years, cells)
-            entry = held[id(data)] = (data, counts,
-                                      value(data, *counts, "before"), {})
-        return entry
-
-    def after(entry, injection):
-        data, (pubs, cits), _, afters = entry
-        found = afters.get(injection.additions)
-        if found is None:
+            pubs, cits = _window_counts(data, years, cells)
+            try:
+                num, den = _evaluate(data.journal_id, spec, years, pubs, cits)
+            except ZeroDenominator as exc:
+                raise ZeroDenominator(f"{exc} (before injection)",
+                                      year=exc.year,
+                                      journal=exc.journal) from exc
+            entry = held[id(data)] = (data, pubs, cits,
+                                      (num, den, Ratio(num, den)), {})
+        _, pubs, cits, before, afters = entry
+        after = afters.get(injection.additions)
+        if after is None:
             added = injection.per_year()
-            found = afters[injection.additions] = value(
-                data, [p + added.get(y, 0) for y, p in zip(years, pubs)],
-                cits, "after")
-        return found
+            num, den = _evaluate(
+                data.journal_id, spec, years,
+                [p + added.get(y, 0) for y, p in zip(years, pubs)], cits)
+            after = afters[injection.additions] = num, den, Ratio(num, den)
+        return before, after
 
     def verify(left, right, injection):
-        held_l, held_r = journal(left), journal(right)
-        (nl, dl, before_l), (nr, dr, before_r) = held_l[2], held_r[2]
-        (nl_k, dl_k, after_l), (nr_k, dr_k, after_r) = (
-            after(held_l, injection), after(held_r, injection))
+        (nl, dl, before_l), (nl_k, dl_k, after_l) = values(left, injection)
+        (nr, dr, before_r), (nr_k, dr_k, after_r) = values(right, injection)
         before = nl * dr - nr * dl
         gap = nl_k * dr_k - nr_k * dl_k
         if not before:
@@ -191,17 +192,6 @@ def _verifier(spec: IndicatorSpec
         return Verdict(tag, (before_l, before_r), (after_l, after_r))
 
     return verify
-
-
-def _phase_value(spec: IndicatorSpec, years, journal_id: str, pubs, cits,
-                 phase: str) -> tuple[int, int]:
-    """:func:`_evaluate`, its ``ZeroDenominator`` naming the phase
-    ("before" or "after" injection)."""
-    try:
-        return _evaluate(journal_id, spec, years, pubs, cits)
-    except ZeroDenominator as exc:
-        raise ZeroDenominator(f"{exc} ({phase} injection)", year=exc.year,
-                              journal=journal_id) from exc
 
 
 def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
@@ -278,6 +268,9 @@ def min_reversal_k(left: JournalData, right: JournalData,
     journals) reverses the pair's strict ordering, solved exactly by
     :func:`reversal_threshold`; None if that k exceeds ``k_max`` or no
     k reverses the pair."""
+    if fault := (_integer_fault(k_max, "k_max")
+                 or (k_max < 1 and f"k_max must be >= 1, got {k_max}")):
+        raise ValidationError(fault)
     k = reversal_threshold(left, right, spec, target_year)
     return k if k is not None and k <= k_max else None
 
@@ -321,8 +314,9 @@ def mine_counterexamples(kind: IndicatorKind, bounds: SearchBounds,
                          limit: int, *,
                          equal_pubs: bool = False) -> list[ReversalWitness]:
     """The first ``limit`` witnesses of :func:`iter_counterexamples`."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    if fault := (_integer_fault(limit, "limit")
+                 or (limit < 1 and "limit must be >= 1")):
+        raise ValidationError(fault)
     return list(islice(iter_counterexamples(kind, bounds,
                                             equal_pubs=equal_pubs), limit))
 
@@ -423,15 +417,11 @@ _MAX_VECTORS = 10**5
 
 def _power_above(base: int, power: int, limit: int) -> bool:
     """Whether ``base ** power > limit``, for ``base, limit >= 1``,
-    decided without building a power much larger than ``limit``."""
-    if base == 1:
-        return False
-    count = 1
-    for _ in range(power):
-        count *= base
-        if count > limit:
-            return True
-    return False
+    decided without building a power above ``limit ** 2``: as ``base >=
+    2 ** (base.bit_length() - 1)`` and ``limit < 2 **
+    limit.bit_length()``, the bit lengths settle every large power."""
+    return base > 1 and (power * (base.bit_length() - 1)
+                         >= limit.bit_length() or base ** power > limit)
 
 
 def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,

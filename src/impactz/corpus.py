@@ -27,6 +27,7 @@ from .core import (
     ZeroDenominator,
     _direction_fault,
     _evaluate,
+    _integer_fault,
     _sign_fault,
     _window_counts,
     denominator_years,
@@ -440,6 +441,9 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
     Every reported minimum k is re-verified as an actual reversal, and
     k - 1 as not one.
     """
+    if fault := (_integer_fault(k_max, "k_max")
+                 or (k_max < 1 and f"k_max must be >= 1, got {k_max}")):
+        raise ValidationError(fault)
     return _sensitivity_rows(corpus, spec, rank(corpus, spec), k_max)
 
 

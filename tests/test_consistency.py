@@ -183,6 +183,8 @@ def test_check_matches_rebuilt_journals(scenario):
             check_z_consistency(scenario)
         assert (str(got.value), got.value.year, got.value.journal) \
             == (str(exc), exc.year, exc.journal)
+        # an injection only adds publications, so "after" never raises
+        assert str(got.value).endswith("(before injection)")
         return
     got = check_z_consistency(scenario)
     assert got == want
@@ -221,6 +223,7 @@ def test_batch_verdicts_match_rebuilt_journals(pair, injections):
                     verify(first, second, injection)
                 assert (str(got.value), got.value.year, got.value.journal) \
                     == (str(exc), exc.year, exc.journal)
+                assert str(got.value).endswith("(before injection)")
                 continue
             got = verify(first, second, injection)
             assert got == want
@@ -555,6 +558,16 @@ def test_verifier_holds_what_it_memoises():
         assert verify(scenario.left, scenario.right, scenario.injection) \
             == check_z_consistency(scenario) == witness.verdict
         del scenario
+
+
+def test_power_above_is_exact():
+    for base, power, limit in product(range(1, 41), range(41),
+                                      (1, 2, 10**5)):
+        assert consistency._power_above(base, power, limit) \
+            == (base ** power > limit), (base, power, limit)
+    # decided by bit lengths, with no power built
+    assert consistency._power_above(2, 10**9, 10**5)
+    assert consistency._power_above(10**50, 3, 10**5)
 
 
 def test_first_witness_builds_few_injections(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impactz import (
+    Corpus,
     IndicatorKind,
     IndicatorSpec,
     Injection,
@@ -18,7 +19,9 @@ from impactz import (
     denominator_years,
     diachronous_imp,
     mine_counterexamples,
+    min_reversal_k,
     pub_count,
+    sensitivity_report,
     sync_if_aor,
     sync_if_roa,
 )
@@ -200,6 +203,8 @@ def test_spec_validation():
 
 
 _ROA, _DIA = IndicatorKind.SYNC_ROA, IndicatorKind.DIACHRONOUS
+_J = JournalData("J", {Y - 1: 2, Y - 2: 2}, {(Y, Y - 1): 1})
+_K = JournalData("K", {Y - 1: 1, Y - 2: 1}, {(Y, Y - 1): 3})
 
 
 @pytest.mark.parametrize("args, message", [
@@ -232,6 +237,25 @@ _ROA, _DIA = IndicatorKind.SYNC_ROA, IndicatorKind.DIACHRONOUS
     ((IndicatorSpec, None, 2, Y), "kind must be an IndicatorKind, got None"),
     ((mine_counterexamples, "sync-aor", SearchBounds(2, 2, 3, 3), 2),
      "kind must be an IndicatorKind, got 'sync-aor'"),
+    # the library's k_max and limit are integers >= 1, like the CLI's
+    *(((call, *args, k_max), message)
+      for call, args in (
+          (min_reversal_k, (_J, _K, IndicatorSpec(_ROA, 2, Y), Y - 1)),
+          # one journal, no pair: the report checks k_max itself
+          (sensitivity_report, (Corpus({"J": _J}), IndicatorSpec(_ROA, 2, Y))))
+      for k_max, message in (
+          (0, "k_max must be >= 1, got 0"),
+          (-5, "k_max must be >= 1, got -5"),
+          (2.5, "k_max must be an integer, got 2.5"),
+          (True, "k_max must be an integer, got True"),
+          ("7", "k_max must be an integer, got '7'"),
+          (None, "k_max must be an integer, got None"))),
+    ((mine_counterexamples, IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 3, 3),
+      True), "limit must be an integer, got True"),
+    ((mine_counterexamples, IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 3, 3),
+      2.5), "limit must be an integer, got 2.5"),
+    ((mine_counterexamples, IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 3, 3),
+      0), "limit must be >= 1"),
 ])
 def test_spec_and_bounds_integer_rule(args, message):
     cls, *values = args
