@@ -429,8 +429,9 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                     ) -> Iterator[tuple[JournalData, JournalData,
                                         Iterator[Injection]]]:
     """The reversing scenarios of the box, in canonical order, as each
-    oriented pair once with its injections in (year, k) order; a box over
-    :data:`_MAX_VECTORS` raises ValidationError before any is listed.
+    oriented pair once with its injections in (year, k) order; an
+    ``equal_pubs`` that is not a ``bool``, or a box over
+    :data:`_MAX_VECTORS`, raises ValidationError before any is listed.
     A pair's injections are a generator, built only as they are taken,
     so taking one witness does not build a pair's k_max injections.
 
@@ -453,6 +454,8 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
     taken.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
+    if type(equal_pubs) is not bool:
+        raise ValidationError(f"equal_pubs must be a bool, got {equal_pubs!r}")
     # the sizes of window(spec), known before it is built: n cells, and
     # n denominator years for the synchronous kinds, one for diachronous
     n_years = 1 if kind is IndicatorKind.DIACHRONOUS else bounds.n

@@ -223,11 +223,27 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     advance it.  A row with a wrong field count is reported as such;
     otherwise the first field that is not an integer is the one reported.
 
+    Each number is read as ``int`` reads its text, but each distinct
+    year text is converted once per call, and a count text "0" to "999",
+    as written, is read from a table built per call; any other count
+    text goes through ``int`` on its own row, so nothing held here grows
+    with the number of distinct counts.
+
     The loaded corpus holds each count once: the per-journal dicts built
     here become the journals' own, and every journal shares one object
     per distinct year and per distinct (citing, cited) cell.
     """
     keys: dict = {}  # each distinct year and cell, first object seen
+    years: dict[str, int] = {}  # each distinct year text, its year in keys
+    # the common count texts; any other count text goes through int()
+    common_counts = {str(count): count for count in range(1000)}
+
+    def year_of(text: str) -> int:
+        """A year text not seen before: converted once and held in keys."""
+        year = int(text)
+        year = years[text] = keys.setdefault(year, year)
+        return year
+
     zeroed: set[str] = set()  # journals with a zero-count row
     pubs: dict[str, dict[int, int]] = {}
     reader = _csv_body(pubs_source, _PUBS_HEADER)
@@ -235,16 +251,19 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
         for line, row in enumerate(reader, start=2):
             try:
                 journal, year, count = row
-                year, count = int(year), int(count)
+                year = years[year] if year in years else year_of(year)
+                count = (common_counts[count] if count in common_counts
+                         else int(count))
             except ValueError:
                 values = _slow_row(line, row, _PUBS_HEADER)
                 if values is None:
                     continue
                 journal, year, count = values
-            if fault := _sign_fault(count, "publication"):
+                year = keys.setdefault(year, year)
+            if count < 0:
+                fault = _sign_fault(count, "publication")
                 raise ValidationError(f"line {line}: {fault}")
             journal = journal.strip()
-            year = keys.setdefault(year, year)
             per_journal = pubs.get(journal)
             if per_journal is None:
                 if fault := _id_fault(journal):
@@ -264,14 +283,20 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
         for line, row in enumerate(reader, start=2):
             try:
                 journal, citing, cited, count = row
-                citing, cited, count = int(citing), int(cited), int(count)
+                citing = years[citing] if citing in years else year_of(citing)
+                cited = years[cited] if cited in years else year_of(cited)
+                count = (common_counts[count] if count in common_counts
+                         else int(count))
             except ValueError:
                 values = _slow_row(line, row, _CITS_HEADER)
                 if values is None:
                     continue
                 journal, citing, cited, count = values
-            if fault := (_sign_fault(count, "citation")
-                         or _direction_fault(citing, cited)):
+                citing = keys.setdefault(citing, citing)
+                cited = keys.setdefault(cited, cited)
+            if count < 0 or citing < cited:
+                fault = (_sign_fault(count, "citation")
+                         or _direction_fault(citing, cited))
                 raise ValidationError(f"line {line}: {fault}")
             journal = journal.strip()
             cell = (citing, cited)

@@ -21,6 +21,7 @@ from impactz import (
     PreconditionViolated,
     Ratio,
     SearchBounds,
+    ValidationError,
     Verdict,
     VerdictTag,
     ZeroDenominator,
@@ -601,6 +602,25 @@ def test_miner_equal_pubs_roa_is_empty():
     bounds = SearchBounds(n=2, pub_max=5, cit_max=8, k_max=5, target_year=Y)
     assert mine_counterexamples(IndicatorKind.SYNC_ROA, bounds, 100,
                                 equal_pubs=True) == []
+
+
+@pytest.mark.parametrize("flag", ["no", "", 1, 0, None])
+def test_miner_equal_pubs_must_be_a_bool(flag):
+    # read as a truth value, 'no' would mine only the box's 680
+    # equal-publication witnesses, not its 3,804
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
+    message = f"equal_pubs must be a bool, got {flag!r}"
+    witnesses = consistency.iter_counterexamples(IndicatorKind.SYNC_AOR,
+                                                 bounds, equal_pubs=flag)
+    for take in (lambda: next(witnesses),
+                 lambda: mine_counterexamples(IndicatorKind.SYNC_AOR, bounds,
+                                              10**6, equal_pubs=flag)):
+        with pytest.raises(ValidationError) as exc_info:
+            take()
+        assert str(exc_info.value) == message
+    assert [len(mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 10**6,
+                                     equal_pubs=equal))
+            for equal in (True, False)] == [680, 3804]
 
 
 def test_miner_canonical_orientation():

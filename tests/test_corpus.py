@@ -375,14 +375,28 @@ def _padded(cell: st.SearchStrategy) -> st.SearchStrategy[str]:
     return st.tuples(_PAD, cell, _PAD).map(render)
 
 
+def _spelled(numbers: st.SearchStrategy[int]) -> st.SearchStrategy[str]:
+    """An integer's text, plain or with a sign or leading zeros."""
+    return st.tuples(st.sampled_from(["", "", "+", "0", "00"]),
+                     numbers).map(lambda t: f"{t[0]}{t[1]}")
+
+
+# count texts on both sides of load_corpus's table of "0".."999", and
+# spellings that int() reads but the table does not hold
+_COUNT = st.one_of(_spelled(st.integers(0, 1200)),
+                   st.sampled_from(["007", "+5", "\u0663", "999", "1000"]))
+
+
 def _loader_text(fields: list[str]) -> st.SearchStrategy[str]:
     """A header, then well-formed and blank rows with at most one odd
-    row among them: odd integer spellings, or any number of fields."""
+    row among them: odd integer spellings, or any number of fields.
+    Both files draw years from 1995..2001, each spelled several ways."""
     header = st.sampled_from([",".join(fields), " , ".join(fields) + "\t"])
     years = [st.integers(2000, 2001), st.integers(1995, 2000)]
     good = st.tuples(_padded(_ID),
-                     *map(_padded, years[4 - len(fields):]),
-                     _padded(st.integers(0, 9))).map(",".join)
+                     *(_padded(_spelled(year))
+                       for year in years[4 - len(fields):]),
+                     _padded(_COUNT)).map(",".join)
     odd_int = _padded(st.one_of(_ODD_INT, *years))
     odd = st.one_of(
         st.tuples(_padded(_ID), *[odd_int] * (len(fields) - 1)),
@@ -424,6 +438,17 @@ def _loader_text(fields: list[str]) -> st.SearchStrategy[str]:
          f"{_CITS_HEADER}\nJ,\x1d2000,1999\x1e,x\n")
 # a quoted line break: line N counts CSV records, not physical lines
 @example(f'{_PUBS_HEADER}\n"J\n\nK",1999,1\nJ,x,1\n', "")
+# count texts at the table's edge and off it, in a corpus that loads
+@example(f"{_PUBS_HEADER}\nJ,1998,999\nJ,1999,1000\nK,1999,007\n",
+         f"{_CITS_HEADER}\nJ,2000,1999,+5\nK,2000,1999,\u0663\n")
+# two spellings of one year are one key
+@example(f"{_PUBS_HEADER}\nJ,1999,1\nJ, 1999 ,2\n",
+         f"{_CITS_HEADER}\nJ,2000,1999,1\nJ,+2000,01999,2\n")
+# "-5" read as a valid year, then as a negative count
+@example(f"{_PUBS_HEADER}\nJ,-5,1\nJ,1999,-5\n", "")
+# a backwards cell whose year texts were each read in valid rows
+@example(f"{_PUBS_HEADER}\nJ,1999,1\nJ,2000,1\n",
+         f"{_CITS_HEADER}\nJ,2000,1999,1\nJ,1999,2000,1\n")
 def test_load_corpus_matches_reference_loader(pubs, cits):
     assert _outcome(load_corpus, pubs, cits) == _outcome(_reference_load,
                                                           pubs, cits)
@@ -602,6 +627,16 @@ def test_loaded_corpus_holds_each_key_once():
         for cell in data.cits:
             assert cells.setdefault(cell, cell) is cell
     assert len(years) == 26 and len(cells) == 26 * 5 - 10
+    # spellings of one year, in both files and on the row path that
+    # reads a cell int() refuses (\x1c), are one object in every journal
+    corpus = load_corpus(
+        f"{_PUBS_HEADER}\nJ,1999,1\nK, 1999,2\nL,+1999,3\nM,\x1c1999,4\n",
+        f"{_CITS_HEADER}\nJ,+1999,1999,1\nK,2000, 1999,2\n"
+        f"L,\x1c2001,+1999,3\nM,2002,\x1c1999,4\nN,2000,+1999,5\n")
+    held = {id(year) for data in corpus.journals.values()
+            for year in (*data.pubs, *(y for cell in data.cits for y in cell))
+            if year == 1999}
+    assert len(held) == 1 and len(corpus.journals) == 5
 
 
 def test_load_corpus_checks_each_journal_id_once(monkeypatch):
