@@ -37,7 +37,7 @@ def _int_in_range(low: int, high: int | None = None):
 
 
 _positive = _int_in_range(1)
-_MAX_WINDOW = 100  # each pair's sensitivity scan re-reads the whole window
+_MAX_WINDOW = 100  # each of a sensitivity pair's n checks reads all n years
 _window = _int_in_range(1, _MAX_WINDOW)
 _MAX_PLACES = 1000  # bounds the digits that each printed value can take
 _places = _int_in_range(0, _MAX_PLACES)

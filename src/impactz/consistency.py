@@ -27,6 +27,7 @@ from .core import (
     ZeroDenominator,
     _evaluate,
     _integer_fault,
+    _positive_fault,
     _window_counts,
     denominator_years,
     window,
@@ -107,11 +108,10 @@ class SearchBounds(Record):
     def __init__(self, n: int, pub_max: int, cit_max: int, k_max: int,
                  target_year: int = 2000, s: int = 0):
         values = (n, pub_max, cit_max, k_max, target_year, s)
-        for name, value in zip(self.__match_args__, values):
-            if fault := _integer_fault(value, name):
+        rules = (_positive_fault,) * 4 + (_integer_fault,) * 2
+        for rule, name, value in zip(rules, self.__match_args__, values):
+            if fault := rule(value, name):
                 raise ValidationError(fault)
-        if min(n, pub_max, cit_max, k_max) < 1:
-            raise ValidationError("all bounds must be >= 1")
         self.__dict__.update(zip(self.__match_args__, values))
 
 
@@ -223,24 +223,22 @@ def _reversal_window(a: int, b: int, c: int) -> tuple[int, int | None] | None:
     return (lo, hi) if lo <= hi else None
 
 
-def reversal_threshold(left: JournalData, right: JournalData,
-                       spec: IndicatorSpec, year: int) -> int | None:
-    """Exact smallest k >= 1 whose uncited injection of k publications at
-    ``year`` into both journals strictly reverses their ordering; None if
-    no k ever does.  An exact tie after injection is not a reversal.
+def _thresholds(left: JournalData, right: JournalData, spec: IndicatorSpec
+                ) -> dict[int, int | None]:
+    """Per denominator year, in :func:`window` order, the exact smallest
+    k >= 1 whose uncited injection of k publications at that year into
+    both journals strictly reverses their ordering; None if no k ever
+    does.  An exact tie after injection is not a reversal.
 
-    The miner's integer form, for one pair: oriented so that left <
-    right, each journal's window counts become a value and per-year
-    (other, p, c) terms through :func:`_terms`, over ``den`` the lcm of
-    the pair's divisors (each year's publications for sync-aor, the
-    window totals otherwise).  The answer is the first k of the window
-    that :func:`_reversing_ks` solves from the two terms of ``year``.
+    The miner's integer form, for one pair, solved for every year in one
+    pass: the window is read once, and, oriented so that left < right,
+    each journal's window counts become a value and per-year (other, p,
+    c) terms through one :func:`_terms` call, over ``den`` the lcm of the
+    pair's divisors (each year's publications for sync-aor, the window
+    totals otherwise).  Each year's answer is the first k of the window
+    that :func:`_reversing_ks` solves from the two terms of that year.
     """
     years, cells = window(spec)
-    if year not in years:
-        raise InvalidTargetYear(
-            f"year {year} is not a denominator year for "
-            f"{spec.kind.value} n={spec.n} at {spec.target_year}")
     counts = [_window_counts(data, years, cells) for data in (left, right)]
     (nl, dl), (nr, dr) = (_evaluate(data.journal_id, spec, years, *count)
                           for data, count in zip((left, right), counts))
@@ -254,24 +252,27 @@ def reversal_threshold(left: JournalData, right: JournalData,
     # sync-aor divides by each year's count, the other kinds by the total
     den = lcm(*(p for pubs, _ in counts
                 for p in (pubs if aor else [sum(pubs)])))
-    j = years.index(year)
     (_, terms_l), (_, terms_r) = (_terms(aor, den, pubs, cits)
                                   for pubs, cits in counts)
-    reversing = _reversing_ks(den, terms_l[j], terms_r[j])
-    return None if reversing is None else reversing[0]
+    return {year: (ks := _reversing_ks(den, term_l, term_r)) and ks[0]
+            for year, term_l, term_r in zip(years, terms_l, terms_r)}
 
 
 def min_reversal_k(left: JournalData, right: JournalData,
                    spec: IndicatorSpec, target_year: int,
                    k_max: int) -> int | None:
     """Smallest k >= 1 whose injection at ``target_year`` (into both
-    journals) reverses the pair's strict ordering, solved exactly by
-    :func:`reversal_threshold`; None if that k exceeds ``k_max`` or no
-    k reverses the pair."""
-    if fault := (_integer_fault(k_max, "k_max")
-                 or (k_max < 1 and f"k_max must be >= 1, got {k_max}")):
+    journals) reverses the pair's strict ordering, read from the pair's
+    :func:`_thresholds`; None if that k exceeds ``k_max`` or no k
+    reverses the pair.  A ``target_year`` outside the denominator years
+    raises :class:`InvalidTargetYear` before either journal is read."""
+    if fault := _positive_fault(k_max, "k_max"):
         raise ValidationError(fault)
-    k = reversal_threshold(left, right, spec, target_year)
+    if target_year not in denominator_years(spec):
+        raise InvalidTargetYear(
+            f"year {target_year} is not a denominator year for "
+            f"{spec.kind.value} n={spec.n} at {spec.target_year}")
+    k = _thresholds(left, right, spec)[target_year]
     return k if k is not None and k <= k_max else None
 
 
@@ -314,8 +315,7 @@ def mine_counterexamples(kind: IndicatorKind, bounds: SearchBounds,
                          limit: int, *,
                          equal_pubs: bool = False) -> list[ReversalWitness]:
     """The first ``limit`` witnesses of :func:`iter_counterexamples`."""
-    if fault := (_integer_fault(limit, "limit")
-                 or (limit < 1 and "limit must be >= 1")):
+    if fault := _positive_fault(limit, "limit"):
         raise ValidationError(fault)
     return list(islice(iter_counterexamples(kind, bounds,
                                             equal_pubs=equal_pubs), limit))

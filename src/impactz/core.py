@@ -48,6 +48,12 @@ def _integer_fault(value, what: str) -> str | None:
             else f"{what} must be an integer, got {value!r}")
 
 
+def _positive_fault(value, what: str) -> str | None:
+    """A bound or count is an ``int`` (:func:`_integer_fault`) >= 1."""
+    return _integer_fault(value, what) or (
+        f"{what} must be >= 1, got {value}" if value < 1 else None)
+
+
 def _sign_fault(count: int, what: str) -> str | None:
     """A ``what`` ("publication" or "citation") count is not negative."""
     return f"negative {what} count {count}" if count < 0 else None
@@ -191,12 +197,10 @@ class IndicatorSpec(Record):
         if not isinstance(kind, IndicatorKind):
             raise ValidationError(
                 f"kind must be an IndicatorKind, got {kind!r}")
-        if fault := (_integer_fault(n, "window length")
+        if fault := (_positive_fault(n, "window length")
                      or _integer_fault(target_year, "target year")
                      or _integer_fault(s, "s")):
             raise ValidationError(fault)
-        if n < 1:
-            raise ValidationError(f"window length must be >= 1, got {n}")
         if s not in (0, 1):
             raise ValidationError(f"s must be 0 or 1, got {s}")
         fields = self.__dict__
@@ -219,8 +223,7 @@ class Injection(Record):
         additions = tuple((y, k) for y, k in additions)
         for year, k in additions:
             if fault := (_integer_fault(year, "year")
-                         or _integer_fault(k, "count")
-                         or (k <= 0 and f"count must be > 0, got {k}")):
+                         or _positive_fault(k, "count")):
                 raise ValidationError(f"injection {(year, k)!r}: {fault}")
         self.__dict__["additions"] = additions
 

@@ -17,7 +17,7 @@ import os
 from contextlib import contextmanager
 from itertools import groupby
 
-from .consistency import VerdictTag, _verifier, min_reversal_k
+from .consistency import VerdictTag, _thresholds, _verifier
 from .core import (
     IndicatorSpec,
     Injection,
@@ -27,10 +27,9 @@ from .core import (
     ZeroDenominator,
     _direction_fault,
     _evaluate,
-    _integer_fault,
+    _positive_fault,
     _sign_fault,
     _window_counts,
-    denominator_years,
     window,
 )
 from .ratio import Ratio
@@ -466,8 +465,7 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
     Every reported minimum k is re-verified as an actual reversal, and
     k - 1 as not one.
     """
-    if fault := (_integer_fault(k_max, "k_max")
-                 or (k_max < 1 and f"k_max must be >= 1, got {k_max}")):
+    if fault := _positive_fault(k_max, "k_max"):
         raise ValidationError(fault)
     return _sensitivity_rows(corpus, spec, rank(corpus, spec), k_max)
 
@@ -477,10 +475,10 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
     """:func:`sensitivity_report` over ``ranking``, which the caller has
     computed as ``rank(corpus, spec)``.
 
-    Each minimum is checked by one :func:`_verifier` for the whole
-    report, so a journal's "before" value is evaluated once however many
-    pairs and years it takes part in; nothing mutates the corpus's
-    journals while the report runs."""
+    Each pair's minima come from one :func:`_thresholds` call, checked by
+    one :func:`_verifier` for the whole report, so a journal's "before"
+    value is evaluated once however many pairs and years it takes part in;
+    nothing mutates the corpus's journals while the report runs."""
     verify = _verifier(spec)
     rows: list[SensitivityRow] = []
     for upper, lower in zip(ranking.entries, ranking.entries[1:]):
@@ -488,9 +486,9 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
             continue
         left = corpus.journals[upper.journal_id]
         right = corpus.journals[lower.journal_id]
-        per_year: dict[int, int | None] = {}
-        for year in denominator_years(spec):
-            k = min_reversal_k(left, right, spec, year, k_max)
+        per_year = {year: k if k is not None and k <= k_max else None
+                    for year, k in _thresholds(left, right, spec).items()}
+        for year, k in per_year.items():
             if k is not None:
                 # k reverses the pair and k - 1 does not
                 *below, at = (
@@ -499,7 +497,6 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
                     for j in range(max(k - 1, 1), k + 1))
                 if not at or any(below):
                     raise AssertionError
-            per_year[year] = k
         rows.append(SensitivityRow(upper.journal_id, lower.journal_id,
                                    per_year, k_max))
     return rows

@@ -38,8 +38,8 @@ from impactz import consistency
 from impactz.consistency import (
     _iter_scenarios,
     _reversal_window,
+    _thresholds,
     _verifier,
-    reversal_threshold,
 )
 
 from conftest import Y
@@ -282,7 +282,8 @@ def test_reversal_threshold_aor_skips_exact_tie():
                        {(Y, Y - 2): 1, (Y, Y - 1): 5})
     right = JournalData("R", {Y - 2: 3, Y - 1: 5},
                         {(Y, Y - 2): 1, (Y, Y - 1): 9})
-    assert reversal_threshold(left, right, AOR2, Y - 1) == 5
+    for first, second in ((left, right), (right, left)):
+        assert _thresholds(first, second, AOR2)[Y - 1] == 5
     assert min_reversal_k(left, right, AOR2, Y - 1, 4) is None
     tags = [check_z_consistency(PairScenario(
         left, right, AOR2, Injection.single(Y - 1, k))).tag
@@ -348,13 +349,16 @@ def test_min_reversal_k_matches_scan_oracle(pair):
     left, right, spec = pair
     k_max, far = 30, 200
     gap = compute(left, spec) - compute(right, spec)
+    # one pass solves every year, the same in both orientations
+    thresholds = _thresholds(left, right, spec)
+    assert list(thresholds) == list(denominator_years(spec))
+    assert _thresholds(right, left, spec) == thresholds
     for year in denominator_years(spec):
         flips = [k for k in range(1, k_max + 1)
                  if _flips(left, right, spec, year, k)]
         assert min_reversal_k(left, right, spec, year, k_max) \
             == (flips[0] if flips else None)
-        k = reversal_threshold(left, right, spec, year)
-        assert k == reversal_threshold(right, left, spec, year)
+        k = thresholds[year]
         if k is not None:
             assert _flips(left, right, spec, year, k)
             assert k == 1 or not _flips(left, right, spec, year, k - 1)
@@ -753,9 +757,10 @@ try:
     "consistency.check_z_consistency = lambda scenario: "
     "SimpleNamespace(tag=VerdictTag.REVERSED)\n"
     "equal_pubs_preserved(J, K, ROA2, Injection.single(1999, 1))",
-    # the threshold is one too high, so k - 1 already reverses
-    "real = corpus.min_reversal_k\n"
-    "corpus.min_reversal_k = lambda *args: real(*args) + 1\n"
+    # every threshold is one too high, so k - 1 already reverses
+    "real = corpus._thresholds\n"
+    "corpus._thresholds = lambda *args: "
+    "{y: k and k + 1 for y, k in real(*args).items()}\n"
     "sensitivity_report(Corpus({'J': J, 'L': L}), ROA2, 100)",
 ], ids=["iter_counterexamples", "equal_pubs_preserved", "sensitivity"])
 def test_self_checks_survive_python_O(fault):

@@ -229,8 +229,14 @@ _K = JournalData("K", {Y - 1: 1, Y - 2: 1}, {(Y, Y - 1): 3})
     # the range rules keep their messages
     ((IndicatorSpec, _ROA, 0, Y), "window length must be >= 1, got 0"),
     ((IndicatorSpec, _DIA, 2, Y, 2), "s must be 0 or 1, got 2"),
-    ((SearchBounds, 2, 2, 0, 2), "all bounds must be >= 1"),
-    ((SearchBounds, 0, 2, 2, 2), "all bounds must be >= 1"),
+    ((SearchBounds, 2, 2, 0, 2), "cit_max must be >= 1, got 0"),
+    ((SearchBounds, 0, 2, 2, 2), "n must be >= 1, got 0"),
+    ((SearchBounds, 2, 2, 2, -1), "k_max must be >= 1, got -1"),
+    ((Injection.single, Y, 0),
+     f"injection ({Y}, 0): count must be >= 1, got 0"),
+    # where two fields break a rule, the first field's fault is reported
+    ((IndicatorSpec, _ROA, 0, float(Y)), "window length must be >= 1, got 0"),
+    ((SearchBounds, 0, 2, 2.5, 2), "n must be >= 1, got 0"),
     # a kind is an IndicatorKind, not its value string
     ((IndicatorSpec, "sync-roa", 2, Y),
      "kind must be an IndicatorKind, got 'sync-roa'"),
@@ -255,7 +261,7 @@ _K = JournalData("K", {Y - 1: 1, Y - 2: 1}, {(Y, Y - 1): 3})
     ((mine_counterexamples, IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 3, 3),
       2.5), "limit must be an integer, got 2.5"),
     ((mine_counterexamples, IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 3, 3),
-      0), "limit must be >= 1"),
+      0), "limit must be >= 1, got 0"),
 ])
 def test_spec_and_bounds_integer_rule(args, message):
     cls, *values = args

@@ -28,7 +28,7 @@ from impactz import (
     sensitivity_report,
     sync_if_roa,
 )
-from impactz import core
+from impactz import consistency, core
 from impactz import corpus as corpus_module
 
 from conftest import Y
@@ -875,6 +875,10 @@ def test_sensitivity_published_roa_pair():
     row = rows[0]
     assert (row.upper_id, row.lower_id) == ("J", "J'")
     assert row.per_year_min_k == {Y - 2: 21, Y - 1: 21}
+    # a minimum above k_max is reported as None
+    for k_max, k in ((21, 21), (20, None)):
+        row, = sensitivity_report(load_corpus(PUBS_1A, CITS_1A), ROA2, k_max)
+        assert row.per_year_min_k == {Y - 2: k, Y - 1: k}
 
 
 def test_sensitivity_single_journal_empty():
@@ -917,3 +921,29 @@ def test_sensitivity_tied_pairs_skipped():
     cits = ("journal,citing_year,cited_year,count\n"
             "A,2000,1999,20\nB,2000,1999,20\n")
     assert sensitivity_report(load_corpus(pubs, cits), ROA2, 50) == []
+
+
+@pytest.mark.parametrize("kind", [IndicatorKind.SYNC_ROA,
+                                  IndicatorKind.SYNC_AOR])
+def test_sensitivity_solves_each_pair_in_one_pass(monkeypatch, kind):
+    # one _terms call per side of each strict pair, however many years
+    years = range(Y - 50, Y)
+
+    def journal(name, p, c, last_c):
+        return JournalData(name, {y: p for y in years},
+                           {**{(Y, y): c for y in years}, (Y, Y - 1): last_c})
+
+    # B > A > C under both kinds; sync-roa reverses (A, C) at k = 139 in
+    # every year, sync-aor (B, A) at k = 2 in Y - 1
+    corpus = Corpus({"A": journal("A", 1, 2, 0), "B": journal("B", 1, 1, 100),
+                     "C": journal("C", 3, 3, 3)})
+    real, calls = consistency._terms, []
+    monkeypatch.setattr(consistency, "_terms",
+                        lambda *args: calls.append(args) or real(*args))
+    rows = sensitivity_report(corpus, IndicatorSpec(kind, 50, Y), 1000)
+    assert [(row.upper_id, row.lower_id) for row in rows] \
+        == [("B", "A"), ("A", "C")]
+    assert [len(row.per_year_min_k) for row in rows] == [50, 50]
+    assert any(k is not None for row in rows
+               for k in row.per_year_min_k.values())
+    assert len(calls) == 4
