@@ -222,11 +222,16 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     advance it.  A row with a wrong field count is reported as such;
     otherwise the first field that is not an integer is the one reported.
 
-    Each number is read as ``int`` reads its text, but each distinct
-    year text is converted once per call, and a count text "0" to "999",
-    as written, is read from a table built per call; any other count
-    text goes through ``int`` on its own row, so nothing held here grows
-    with the number of distinct counts.
+    Each number is read as ``int`` reads its text, and each distinct text
+    is read and checked once per call.  A row whose journal text and
+    (citing, cited) text pair were seen before in its file, and whose
+    count text is "0" to "999" as written, costs one dict lookup per
+    field and a duplicate test: every journal text, year text and text
+    pair is remembered only once it has passed every rule, so a hit is
+    not checked again.  Any other row is read and checked in full, in
+    the order its errors are reported, and then remembered.  What is
+    held here grows with the distinct journal, year and pair texts, not
+    with the rows or the distinct counts.
 
     The loaded corpus holds each count once: the per-journal dicts built
     here become the journals' own, and every journal shares one object
@@ -234,6 +239,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     """
     keys: dict = {}  # each distinct year and cell, first object seen
     years: dict[str, int] = {}  # each distinct year text, its year in keys
+    # each distinct (citing, cited) text pair, its checked cell in keys
+    cells: dict[tuple[str, str], tuple[int, int]] = {}
     # the common count texts; any other count text goes through int()
     common_counts = {str(count): count for count in range(1000)}
 
@@ -245,9 +252,25 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
 
     zeroed: set[str] = set()  # journals with a zero-count row
     pubs: dict[str, dict[int, int]] = {}
+    known: dict[str, dict] = {}  # each raw journal text, its checked dict
     reader = _csv_body(pubs_source, _PUBS_HEADER)
     with _csv_errors(reader):
         for line, row in enumerate(reader, start=2):
+            # every text remembered has passed every rule, so a row of
+            # remembered texts needs only its key tested; anything else,
+            # a duplicate key too, is read and checked in full below
+            try:
+                journal, year, count = row
+                per_journal = known.get(journal)
+                year = years[year]
+                count = common_counts[count]
+            except (KeyError, ValueError):
+                per_journal = None
+            if per_journal is not None and year not in per_journal:
+                per_journal[year] = count
+                if not count:
+                    zeroed.add(journal.strip())
+                continue
             try:
                 journal, year, count = row
                 year = years[year] if year in years else year_of(year)
@@ -275,11 +298,25 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
             per_journal[year] = count
             if not count:
                 zeroed.add(journal)
+            known[row[0]] = per_journal
 
     cits: dict[str, dict[tuple[int, int], int]] = {}
+    known = {}
     reader = _csv_body(cits_source, _CITS_HEADER)
     with _csv_errors(reader):
         for line, row in enumerate(reader, start=2):
+            try:
+                journal, citing, cited, count = row
+                per_journal = known.get(journal)
+                cell = cells[citing, cited]
+                count = common_counts[count]
+            except (KeyError, ValueError):
+                per_journal = None
+            if per_journal is not None and cell not in per_journal:
+                per_journal[cell] = count
+                if not count:
+                    zeroed.add(journal.strip())
+                continue
             try:
                 journal, citing, cited, count = row
                 citing = years[citing] if citing in years else year_of(citing)
@@ -312,6 +349,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
             per_journal[cell] = count
             if not count:
                 zeroed.add(journal)
+            cells[row[1], row[2]] = cell
+            known[row[0]] = per_journal
 
     # zero rows are dropped only now, so that a later row for the same
     # key is still a duplicate at its line
@@ -384,7 +423,10 @@ def corpus_from_json(text: str) -> Corpus:
                                      "journal id").items():
         where = f"journal {journal_id!r}"
         try:
-            pubs = _unique([(int(year) if year.isdecimal() else year, count)
+            # a year key is as corpus_to_json writes it: digits after
+            # at most one "-"
+            pubs = _unique([(int(year) if year.removeprefix("-").isdecimal()
+                             else year, count)
                             for year, count in entry["pubs"].pairs],
                            where, "publication year")
             cits = _unique([((c["citing"], c["cited"]), c["count"])

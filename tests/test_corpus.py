@@ -179,6 +179,17 @@ def test_json_round_trip_identical():
     assert corpus_to_json(reloaded) == text  # byte-stable
 
 
+def test_json_round_trip_negative_year():
+    # corpus_to_json writes a year of -5 as the key "-5"
+    corpus = load_corpus(f"{_PUBS_HEADER}\nJ,-5,3\nJ,1999,2\n",
+                         f"{_CITS_HEADER}\nJ,2000,-5,4\n")
+    text = corpus_to_json(corpus)
+    assert '"-5": 3' in text
+    reloaded = corpus_from_json(text)
+    assert reloaded == corpus
+    assert corpus_to_json(reloaded) == text
+
+
 def test_json_empty_corpus_round_trip():
     text = corpus_to_json(Corpus({}))
     assert json.loads(text) == {"journals": {}}
@@ -228,6 +239,10 @@ _J = '{"journals": {"J": %s}}'
     (_J % '{"pubs": {"1999": "3"}, "cits": []}', ValidationError, "'J'"),
     (_J % '{"pubs": {"1999": 2.5}, "cits": []}', ValidationError, "'J'"),
     (_J % '{"pubs": {"199x": 3}, "cits": []}', ValidationError, "'J'"),
+    (_J % '{"pubs": {"--5": 3}, "cits": []}', ValidationError,
+     "year must be an integer, got '--5'"),
+    (_J % '{"pubs": {"-": 3}, "cits": []}', ValidationError,
+     "year must be an integer, got '-'"),
     (_J % '{"pubs": {}, "cits": [{"citing": 2000, "cited": "1999", '
           '"count": 1}]}', ValidationError, "'J'"),
     (_J % '{"pubs": {}, "cits": [{"citing": 2000, "cited": 1999, '
@@ -454,6 +469,86 @@ def test_load_corpus_matches_reference_loader(pubs, cits):
                                                           pubs, cits)
 
 
+# rows that load_corpus answers from its memos: a journal text and a
+# year text or (citing, cited) text pair seen before in the same file,
+# and a count text in its table; the error each load ends in, or None
+_MEMO_CASES = {
+    "swapped-pair": (
+        "", "J,2000,1999,5\nJ,1999,2000,5\n",
+        "line 3: citing year 1999 precedes cited year 2000"),
+    "respelled-year": (
+        "", "J,2000,1999,5\nJ,+2000,1999,3\n",
+        "line 3: duplicate citation row for (J, 2000, 1999)"),
+    "respelled-year-on-a-hit": (
+        "J,1999,1\nK,+1999,2\nJ,+1999,3\n", "",
+        "line 4: duplicate publication row for (J, 1999)"),
+    "respelled-cell-on-a-hit": (
+        "", "J,2000,1999,5\nK,+2000,1999,3\nJ,+2000,1999,4\n",
+        "line 4: duplicate citation row for (J, 2000, 1999)"),
+    "padded-id": (
+        "", "J,2000,1999,5\n J,2000,1999,3\n",
+        "line 3: duplicate citation row for (J, 2000, 1999)"),
+    "padded-id-on-a-hit": (
+        "", "J,2000,1999,5\n J,2001,1999,1\n J,2000,1999,3\n",
+        "line 4: duplicate citation row for (J, 2000, 1999)"),
+    "negative-publication-count": (
+        "J,1998,1\nK,1999,2\nJ,1999,-1\n", "",
+        "line 4: negative publication count -1"),
+    "negative-citation-count": (
+        "", "J,2000,1999,5\nK,2001,1999,1\nK,2000,1999,-1\n",
+        "line 4: negative citation count -1"),
+    "counts-off-the-table": (
+        "J,1998,1\nK,1999,2\nJ,1999,1000\nK,1998,007\n",
+        "J,2000,1999,5\nK,2001,1999,1\nK,2000,1999,1000\n"
+        "J,2001,1999,007\n",
+        None),
+    "blank-then-short-publication-row": (
+        "J,1998,1\nJ,1999,2\n,,\n\nJ,1997\n", "",
+        "line 6: expected 3 fields, got 2"),
+    "blank-then-short-citation-row": (
+        "", "J,2000,1999,5\nJ,2001,1999,1\n,,,\n\nJ,2000,1998\n",
+        "line 6: expected 4 fields, got 3"),
+}
+
+
+@pytest.mark.parametrize("pubs, cits, error", _MEMO_CASES.values(),
+                         ids=_MEMO_CASES)
+def test_memo_hits_match_reference_loader(pubs, cits, error):
+    pubs, cits = f"{_PUBS_HEADER}\n{pubs}", f"{_CITS_HEADER}\n{cits}"
+    got = _outcome(load_corpus, pubs, cits)
+    assert got == _outcome(_reference_load, pubs, cits)
+    if error is None:
+        assert isinstance(got, Corpus)
+    else:
+        assert got[1] == error
+
+
+def test_memo_hit_holds_the_interned_cell():
+    # K's row respells the cell, and L's row is answered from the memo
+    corpus = load_corpus("", f"{_CITS_HEADER}\nJ,2000,1999,5\n"
+                             f"K,+2000,1999,3\nL,2001,2000,1\n"
+                             f"L,+2000,1999,4\n")
+    held = [cell for data in corpus.journals.values() for cell in data.cits
+            if cell == (2000, 1999)]
+    assert len(held) == 3 and all(cell is held[0] for cell in held)
+
+
+def test_padded_id_is_one_journal_checked_once(monkeypatch):
+    calls = Counter()
+    id_fault = corpus_module._id_fault
+
+    def counted(journal_id):
+        calls[journal_id] += 1
+        return id_fault(journal_id)
+
+    monkeypatch.setattr(corpus_module, "_id_fault", counted)
+    corpus = load_corpus("", f"{_CITS_HEADER}\nJ,2000,1999,5\n"
+                             f" J,2001,1999,1\n J,2002,1999,3\n")
+    assert calls == {"J": 1}
+    assert corpus.journals == {"J": JournalData(
+        "J", {}, {(2000, 1999): 5, (2001, 1999): 1, (2002, 1999): 3})}
+
+
 def _count_loaders(pubs: dict, cits: dict) -> dict:
     """Ways to hand the same entries to the count rules: as JournalData,
     as corpus_from_json's layout, as CSV rows, and as an Injection."""
@@ -501,6 +596,8 @@ def _count_loaders(pubs: dict, cits: dict) -> dict:
     # accepted: a same-year citation; zero counts are dropped
     ({1998: 0, 1999: 4}, {(1999, 1999): 2, (2000, 1999): 0},
      "data json csv", None),
+    # accepted: a year before year 0
+    ({-5: 3}, {}, "data json csv", None),
 ])
 def test_count_rules_agree(pubs, cits, via, reason):
     loaders = _count_loaders(pubs, cits)
@@ -509,7 +606,8 @@ def test_count_rules_agree(pubs, cits, via, reason):
     for name in via.split():
         if reason is None:
             data = loaders[name]()
-            assert (data.pubs, data.cits) == ({1999: 4}, {(1999, 1999): 2})
+            assert data.pubs == {year: n for year, n in pubs.items() if n}
+            assert data.cits == {cell: n for cell, n in cits.items() if n}
             continue
         with pytest.raises(ValidationError) as exc_info:
             loaders[name]()
