@@ -222,84 +222,69 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     advance it.  A row with a wrong field count is reported as such;
     otherwise the first field that is not an integer is the one reported.
 
-    Each number is read as ``int`` reads its text, and each distinct text
-    is read and checked once per call.  A row whose journal text and
-    (citing, cited) text pair were seen before in its file, and whose
-    count text is "0" to "999" as written, costs one dict lookup per
-    field and a duplicate test: every journal text, year text and text
-    pair is remembered only once it has passed every rule, so a hit is
-    not checked again.  Any other row is read and checked in full, in
-    the order its errors are reported, and then remembered.  What is
-    held here grows with the distinct journal, year and pair texts, not
-    with the rows or the distinct counts.
+    Each number is read as ``int`` reads its text.  Within a file, a
+    text is remembered only once it has passed every rule, so a row
+    whose journal text and key text, the year or the (citing, cited)
+    pair, were seen before, and whose count text is "0" to "999" as
+    written, costs one dict lookup per field and a duplicate test.  A
+    journal's first row in a file costs one strip and one id lookup
+    more, and the id rule runs once per stripped id per file.  Any other
+    row goes through ``int()``, or, where ``int()`` refuses a field or
+    the row does not have its fields, is read cell by stripped cell; it
+    is then held to the sign and direction rules, and its key text is
+    remembered.  Zero rows are dropped after both files are read, in one
+    pass over the dicts that hold a zero.  What is held here grows with
+    the distinct journal, year and pair texts, not with the rows or the
+    distinct counts.
 
     The loaded corpus holds each count once: the per-journal dicts built
     here become the journals' own, and every journal shares one object
     per distinct year and per distinct (citing, cited) cell.
     """
     keys: dict = {}  # each distinct year and cell, first object seen
-    years: dict[str, int] = {}  # each distinct year text, its year in keys
-    # each distinct (citing, cited) text pair, its checked cell in keys
-    cells: dict[tuple[str, str], tuple[int, int]] = {}
     # the common count texts; any other count text goes through int()
     common_counts = {str(count): count for count in range(1000)}
 
-    def year_of(text: str) -> int:
-        """A year text not seen before: converted once and held in keys."""
-        year = int(text)
-        year = years[text] = keys.setdefault(year, year)
-        return year
-
-    zeroed: set[str] = set()  # journals with a zero-count row
+    years: dict[str, int] = {}  # each distinct year text, its year in keys
     pubs: dict[str, dict[int, int]] = {}
     known: dict[str, dict] = {}  # each raw journal text, its checked dict
     reader = _csv_body(pubs_source, _PUBS_HEADER)
     with _csv_errors(reader):
         for line, row in enumerate(reader, start=2):
-            # every text remembered has passed every rule, so a row of
-            # remembered texts needs only its key tested; anything else,
-            # a duplicate key too, is read and checked in full below
+            # a memo holds only texts that passed every rule, so a row of
+            # remembered texts is not checked again
             try:
                 journal, year, count = row
-                per_journal = known.get(journal)
                 year = years[year]
                 count = common_counts[count]
             except (KeyError, ValueError):
-                per_journal = None
-            if per_journal is not None and year not in per_journal:
-                per_journal[year] = count
-                if not count:
-                    zeroed.add(journal.strip())
-                continue
-            try:
-                journal, year, count = row
-                year = years[year] if year in years else year_of(year)
-                count = (common_counts[count] if count in common_counts
-                         else int(count))
-            except ValueError:
-                values = _slow_row(line, row, _PUBS_HEADER)
-                if values is None:
-                    continue
-                journal, year, count = values
-                year = keys.setdefault(year, year)
-            if count < 0:
-                fault = _sign_fault(count, "publication")
-                raise ValidationError(f"line {line}: {fault}")
-            journal = journal.strip()
-            per_journal = pubs.get(journal)
-            if per_journal is None:
-                if fault := _id_fault(journal):
+                try:
+                    journal, year, count = row
+                    year = years.get(year) or int(year)
+                    count = int(count)
+                except ValueError:
+                    values = _slow_row(line, row, _PUBS_HEADER)
+                    if values is None:
+                        continue
+                    journal, year, count = values
+                if count < 0:
+                    fault = _sign_fault(count, "publication")
                     raise ValidationError(f"line {line}: {fault}")
-                per_journal = pubs[journal] = {}
-            elif year in per_journal:
+                year = years[row[1]] = keys.setdefault(year, year)
+            per_journal = known.get(journal)
+            if per_journal is None:
+                journal_id = journal.strip()
+                if journal_id not in pubs and (fault := _id_fault(journal_id)):
+                    raise ValidationError(f"line {line}: {fault}")
+                per_journal = known[journal] = pubs.setdefault(journal_id, {})
+            if year in per_journal:
                 raise ValidationError(
                     f"line {line}: duplicate publication row for "
-                    f"({journal}, {year})")
+                    f"({journal.strip()}, {year})")
             per_journal[year] = count
-            if not count:
-                zeroed.add(journal)
-            known[row[0]] = per_journal
 
+    # each distinct (citing, cited) text pair, its checked cell in keys
+    cells: dict[tuple[str, str], tuple[int, int]] = {}
     cits: dict[str, dict[tuple[int, int], int]] = {}
     known = {}
     reader = _csv_body(cits_source, _CITS_HEADER)
@@ -307,55 +292,43 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
         for line, row in enumerate(reader, start=2):
             try:
                 journal, citing, cited, count = row
-                per_journal = known.get(journal)
                 cell = cells[citing, cited]
                 count = common_counts[count]
             except (KeyError, ValueError):
-                per_journal = None
-            if per_journal is not None and cell not in per_journal:
-                per_journal[cell] = count
-                if not count:
-                    zeroed.add(journal.strip())
-                continue
-            try:
-                journal, citing, cited, count = row
-                citing = years[citing] if citing in years else year_of(citing)
-                cited = years[cited] if cited in years else year_of(cited)
-                count = (common_counts[count] if count in common_counts
-                         else int(count))
-            except ValueError:
-                values = _slow_row(line, row, _CITS_HEADER)
-                if values is None:
-                    continue
-                journal, citing, cited, count = values
-                citing = keys.setdefault(citing, citing)
-                cited = keys.setdefault(cited, cited)
-            if count < 0 or citing < cited:
-                fault = (_sign_fault(count, "citation")
-                         or _direction_fault(citing, cited))
-                raise ValidationError(f"line {line}: {fault}")
-            journal = journal.strip()
-            cell = (citing, cited)
-            cell = keys.setdefault(cell, cell)
-            per_journal = cits.get(journal)
-            if per_journal is None:
-                if fault := _id_fault(journal):
+                try:
+                    journal, citing, cited, count = row
+                    cell = (cells.get((citing, cited))
+                            or (int(citing), int(cited)))
+                    count = int(count)
+                except ValueError:
+                    values = _slow_row(line, row, _CITS_HEADER)
+                    if values is None:
+                        continue
+                    journal, *cell, count = values
+                citing, cited = cell
+                if count < 0 or citing < cited:
+                    fault = (_sign_fault(count, "citation")
+                             or _direction_fault(citing, cited))
                     raise ValidationError(f"line {line}: {fault}")
-                per_journal = cits[journal] = {}
-            elif cell in per_journal:
+                cell = (keys.setdefault(citing, citing),
+                        keys.setdefault(cited, cited))
+                cell = cells[row[1], row[2]] = keys.setdefault(cell, cell)
+            per_journal = known.get(journal)
+            if per_journal is None:
+                journal_id = journal.strip()
+                if journal_id not in cits and (fault := _id_fault(journal_id)):
+                    raise ValidationError(f"line {line}: {fault}")
+                per_journal = known[journal] = cits.setdefault(journal_id, {})
+            if cell in per_journal:
                 raise ValidationError(
                     f"line {line}: duplicate citation row for "
-                    f"({journal}, {citing}, {cited})")
+                    f"({journal.strip()}, {cell[0]}, {cell[1]})")
             per_journal[cell] = count
-            if not count:
-                zeroed.add(journal)
-            cells[row[1], row[2]] = cell
-            known[row[0]] = per_journal
 
     # zero rows are dropped only now, so that a later row for the same
     # key is still a duplicate at its line
-    for journal in zeroed:
-        for counts in (pubs.get(journal, {}), cits.get(journal, {})):
+    for counts in [*pubs.values(), *cits.values()]:
+        if 0 in counts.values():
             for key in [key for key, count in counts.items() if not count]:
                 del counts[key]
     # every count and id above has passed the rules that JournalData and

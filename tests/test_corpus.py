@@ -469,9 +469,10 @@ def test_load_corpus_matches_reference_loader(pubs, cits):
                                                           pubs, cits)
 
 
-# rows that load_corpus answers from its memos: a journal text and a
-# year text or (citing, cited) text pair seen before in the same file,
-# and a count text in its table; the error each load ends in, or None
+# rows that load_corpus answers wholly or partly from its memos: a
+# journal text, a year text or (citing, cited) text pair, or a count text
+# seen before in the same file or in its table; the error each load ends
+# in, or None
 _MEMO_CASES = {
     "swapped-pair": (
         "", "J,2000,1999,5\nJ,1999,2000,5\n",
@@ -508,6 +509,22 @@ _MEMO_CASES = {
     "blank-then-short-citation-row": (
         "", "J,2000,1999,5\nJ,2001,1999,1\n,,,\n\nJ,2000,1998\n",
         "line 6: expected 4 fields, got 3"),
+    # a new journal text on a row of remembered key and count texts
+    "new-id-on-remembered-publication-texts": (
+        "J,1999,1\n,1999,1\n", "", "line 3: empty journal id"),
+    "new-id-on-remembered-citation-texts": (
+        "", "J,2000,1999,1\n,2000,1999,1\n", "line 3: empty journal id"),
+    # the count's faults come before the new journal's
+    "negative-count-before-new-id": (
+        "J,1999,1\n,1999,-1\n", "", "line 3: negative publication count -1"),
+    "bad-count-before-new-id": (
+        "J,1999,1\n,1999,x\n", "",
+        "line 3: pubs must be an integer, got 'x'"),
+    "swapped-pair-off-the-table": (
+        "", "J,2000,1999,5\nK,1999,2000,1000\n",
+        "line 3: citing year 1999 precedes cited year 2000"),
+    "counts-int-reads": (
+        "J,1999,1\nK,1999,1_000\nL,1999,+1000\nM,1999,00\n", "", None),
 }
 
 
@@ -749,10 +766,10 @@ def test_load_corpus_checks_each_journal_id_once(monkeypatch):
 
     monkeypatch.setattr(corpus_module, "_id_fault", counted)
     pubs = PUBS_1A + f"K,{Y - 1},0\nK,{Y - 2},7\n"
-    cits = CITS_1A + f"K,{Y},{Y},0\nL,{Y},{Y - 1},3\n"
+    cits = CITS_1A + f"K,{Y},{Y},0\nL,{Y},{Y - 1},3\n L,{Y},{Y},2\n"
     corpus = load_corpus(pubs, cits)
     # J, J' and K first seen in the publications, J, J', K and L in the
-    # citations
+    # citations; " L" strips to an id already checked in that file
     assert calls == {"J": 2, "J'": 2, "K": 2, "L": 1}
     calls.clear()
     assert Corpus(corpus.journals) == corpus
