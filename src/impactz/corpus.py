@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from contextlib import contextmanager
+import re
 from itertools import groupby
 
 from .consistency import VerdictTag, _thresholds, _verifier
@@ -130,30 +130,17 @@ _PUBS_HEADER = ["journal", "year", "pubs"]
 _CITS_HEADER = ["journal", "citing_year", "cited_year", "count"]
 
 
-@contextmanager
-def _csv_errors(reader):
-    """A csv.Error, such as a field over ``csv.field_size_limit()``, is a
-    ParseError at the reader's line."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise ParseError(reader.line_num, str(exc)) from None
-
-
 def _decode_error(exc: UnicodeDecodeError) -> ParseError:
     """A ParseError at the CSV record, counted as :func:`load_corpus`
     counts them, that holds the first byte a whole-file read could not
     decode; ``exc.object`` is the file's bytes and ``exc.start`` that
-    byte's offset."""
+    byte's offset.  The records are counted with each quoted part of a
+    field, and each unquoted run, cut to ``x``: that keeps every record
+    break and leaves no field over ``csv.field_size_limit()``."""
     # a stand-in for the bad byte ends the text inside its record
     prefix = exc.object[:exc.start].decode(exc.encoding) + "?"
-    reader = csv.reader(io.StringIO(prefix, newline=None))
-    line = 0
-    try:
-        for line, _ in enumerate(reader, start=1):
-            pass
-    except csv.Error:
-        line += 1  # a field over csv.field_size_limit(): its record
+    fields = re.sub(r'"[^"]*(?:""[^"]*)*"?|[^,"\r\n][^,\r\n]*', "x", prefix)
+    line = sum(1 for _ in csv.reader(io.StringIO(fields, newline=None)))
     return ParseError(line, f"{exc.encoding} cannot decode byte "
                             f"0x{exc.object[exc.start]:02x}: {exc.reason}")
 
@@ -175,8 +162,10 @@ def _csv_body(source, header: list[str]):
     except UnicodeDecodeError as exc:
         raise _decode_error(exc) from None
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    with _csv_errors(reader):
+    try:
         got = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(1, str(exc)) from None
     if got is not None and [cell.strip() for cell in got] != header:
         raise ParseError(1, f"expected header {','.join(header)}, "
                             f"got {','.join(got)}")
@@ -249,7 +238,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     pubs: dict[str, dict[int, int]] = {}
     known: dict[str, dict] = {}  # each raw journal text, its checked dict
     reader = _csv_body(pubs_source, _PUBS_HEADER)
-    with _csv_errors(reader):
+    line = 1  # the header; a csv.Error is at the record after line
+    try:
         for line, row in enumerate(reader, start=2):
             # a memo holds only texts that passed every rule, so a row of
             # remembered texts is not checked again
@@ -282,13 +272,16 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                     f"line {line}: duplicate publication row for "
                     f"({journal.strip()}, {year})")
             per_journal[year] = count
+    except csv.Error as exc:
+        raise ParseError(line + 1, str(exc)) from None
 
     # each distinct (citing, cited) text pair, its checked cell in keys
     cells: dict[tuple[str, str], tuple[int, int]] = {}
     cits: dict[str, dict[tuple[int, int], int]] = {}
     known = {}
     reader = _csv_body(cits_source, _CITS_HEADER)
-    with _csv_errors(reader):
+    line = 1  # the header; a csv.Error is at the record after line
+    try:
         for line, row in enumerate(reader, start=2):
             try:
                 journal, citing, cited, count = row
@@ -324,6 +317,8 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
                     f"line {line}: duplicate citation row for "
                     f"({journal.strip()}, {cell[0]}, {cell[1]})")
             per_journal[cell] = count
+    except csv.Error as exc:
+        raise ParseError(line + 1, str(exc)) from None
 
     # zero rows are dropped only now, so that a later row for the same
     # key is still a duplicate at its line

@@ -128,6 +128,9 @@ def test_malformed_rows_raise_parse_error():
     with pytest.raises(ParseError, match="line 3: field larger"):
         load_corpus("journal,year,pubs\nJ,1999,10\nJ," + "1" * 131_073
                     + ",3\n", "journal,citing_year,cited_year,count\n")
+    # the header is line 1 however many physical lines it spans
+    with pytest.raises(ParseError, match="^line 1: field larger"):
+        load_corpus('"jour\nnal",year,' + "1" * 131_073 + "\n", "")
 
 
 @pytest.mark.parametrize("journal_id", [
@@ -310,6 +313,7 @@ def _reference_load(pubs: str, cits: str) -> Corpus:
                                (cits, _CITS_FIELDS, "citation")):
         table: dict[tuple, int] = {}
         reader = csv.reader(io.StringIO(text))
+        line = 0
         try:
             for line, record in enumerate(reader, start=1):
                 cells = [cell.strip() for cell in record]
@@ -351,8 +355,8 @@ def _reference_load(pubs: str, cits: str) -> Corpus:
                         f"line {line}: duplicate {what} row for "
                         f"({', '.join(map(str, row_key))})")
                 table[row_key] = count
-        except csv.Error as exc:
-            raise ParseError(reader.line_num, str(exc)) from None
+        except csv.Error as exc:  # in the record after the last one read
+            raise ParseError(line + 1, str(exc)) from None
         tables.append(table)
     pub_table, cit_table = tables
     per_journal = {journal: ({}, {}) for journal, *_ in (*pub_table,
@@ -464,6 +468,10 @@ def _loader_text(fields: list[str]) -> st.SearchStrategy[str]:
 # a backwards cell whose year texts were each read in valid rows
 @example(f"{_PUBS_HEADER}\nJ,1999,1\nJ,2000,1\n",
          f"{_CITS_HEADER}\nJ,2000,1999,1\nJ,1999,2000,1\n")
+# a csv.Error after a quoted line break is at its record, not its
+# physical line: a field over csv.field_size_limit(), and a bare \r
+@example(f'{_PUBS_HEADER}\nJ,1999,"1\n"\nK,1999,' + "1" * 131_073 + "\n", "")
+@example("", f'{_CITS_HEADER}\nJ,2000,1999,"1\n"\nK,2000,1999,1\rK\n')
 def test_load_corpus_matches_reference_loader(pubs, cits):
     assert _outcome(load_corpus, pubs, cits) == _outcome(_reference_load,
                                                           pubs, cits)
@@ -776,15 +784,27 @@ def test_load_corpus_checks_each_journal_id_once(monkeypatch):
     assert calls == {"J": 1, "J'": 1, "K": 1, "L": 1}
 
 
-_BAD_BYTES = [
-    # (publications file, line of its first byte that is not UTF-8)
-    (b"journ\xe9l,year,pubs\nJ,1998,10\n", 1),
-    (b"journal,year,pubs\nJ,1998,10\nJ,1999,10\nK\xe9,1998,30\n", 4),
-    (b'journal,year,pubs\n"J\nK",1998,10\r\n\nL,1998,1\xff\n', 4),
-]
+_OVERLONG = b"1" * 131_073  # one over the default csv.field_size_limit()
+_BAD_BYTES = {
+    # id: (publications file, line of its first byte that is not UTF-8)
+    "header": (b"journ\xe9l,year,pubs\nJ,1998,10\n", 1),
+    "record-4": (b"journal,year,pubs\nJ,1998,10\nJ,1999,10\nK\xe9,1998,30\n",
+                 4),
+    "quoted-break": (b'journal,year,pubs\n"J\nK",1998,10\r\n\nL,1998,1\xff\n',
+                     4),
+    # fields over the limit before the bad byte
+    "overlong": (b"journal,year,pubs\nJ,1998," + _OVERLONG
+                 + b"\nJ,1999,10\nK\xe9,1998,30\n", 4),
+    "overlong-quoted": (b'journal,year,pubs\n"J\n' + _OVERLONG
+                        + b'",1998,10\nK\xe9,1998,30\n', 3),
+    "overlong-commas": (b'journal,year,pubs\n"' + b"1," * 70_000
+                        + b'",1998,10\nK\xe9,1998,30\n', 3),
+    "overlong-quotes": (b"journal,year,pubs\n" + b'1"' * 70_000
+                        + b",1998,10\nK\xe9,1998,30\n", 3),
+}
 
 
-@pytest.mark.parametrize("raw, line", _BAD_BYTES)
+@pytest.mark.parametrize("raw, line", _BAD_BYTES.values(), ids=_BAD_BYTES)
 def test_non_utf8_csv_is_parse_error_at_its_line(tmp_path, raw, line):
     # lines count CSV records, header as line 1, as every load error does
     path = tmp_path / "pubs.csv"
