@@ -19,7 +19,7 @@ from itertools import islice
 from .consistency import SearchBounds, iter_counterexamples
 from .core import IndicatorKind, IndicatorSpec
 from .corpus import _sensitivity_rows, _values, load_corpus, rank
-from .ratio import format_exact, to_decimal
+from .ratio import _long_str, format_exact, to_decimal
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
 
@@ -175,10 +175,14 @@ def _mine_rows(witnesses):
     def columns(data):
         entry = held.get(id(data))
         if entry is None:
+            cells = sorted(data.cits.items())
+            try:
+                cits = {f"{c},{d}": v for (c, d), v in cells}
+            except ValueError:  # a year past the digit limit
+                cits = {f"{_long_str(c)},{_long_str(d)}": v
+                        for (c, d), v in cells}
             entry = held[id(data)] = data, (
-                json.dumps(data.pubs, sort_keys=True),
-                json.dumps({f"{c},{d}": v
-                            for (c, d), v in sorted(data.cits.items())}))
+                json.dumps(data.pubs, sort_keys=True), json.dumps(cits))
         return entry[1]
 
     left = right = journals = before = None

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from math import prod
-from operator import attrgetter
 from types import MappingProxyType
 
 from .ratio import Ratio
@@ -69,31 +68,27 @@ class Record:
     """Base of the immutable value records.
 
     A subclass lists its fields, in ``__init__`` order, as
-    ``__match_args__`` (so ``match`` patterns work, as on a dataclass)
-    and stores them in an explicit ``__init__`` through
-    ``self.__dict__``.  The base then gives what a frozen
-    dataclass would: ``==`` between records of the same class with equal
-    fields, ``hash`` of the fields (a ``TypeError`` when one is a dict),
-    the ``Name(field=value, ...)`` repr, and an ``AttributeError`` on
-    assigning or deleting an attribute.  Instances keep their
-    ``__dict__``, so ``copy``, ``deepcopy`` and ``pickle`` work unchanged.
-    Nothing is generated at import.
+    ``__match_args__`` (so ``match`` patterns work, as on a dataclass) and
+    stores just those in an explicit ``__init__`` through
+    ``self.__dict__``.  The base then gives what a frozen dataclass would:
+    ``==`` between records of the same class with equal ``__dict__``,
+    ``hash`` of the fields in ``__match_args__`` order (a ``TypeError``
+    when one is a dict), the ``Name(field=value, ...)`` repr, and an
+    ``AttributeError`` on assigning or deleting an attribute.  Instances
+    keep their ``__dict__``, so ``copy``, ``deepcopy`` and ``pickle`` work
+    unchanged.  Nothing is generated at import.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._values = staticmethod(attrgetter(*cls.__match_args__))
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values(self) == self._values(other)
+            return self.__dict__ == other.__dict__
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(tuple(map(self.__dict__.__getitem__, self.__match_args__)))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

@@ -103,6 +103,22 @@ def test_compute_prints_values_past_the_int_digit_limit(tmp_path):
     assert out == f"J\t{num}/7\t{decimal}\n"
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_mine_prints_window_years_past_the_int_digit_limit(fmt):
+    # 4300 nines is the longest --year int() reads by default; the
+    # diachronous window's citing year Y + 1 has 4301 digits, and the row
+    # is the Y = 2000 row with each year printed in full
+    nines, citing = "9" * 4300, "1" + "0" * 4300
+    argv = ["mine", "--kind", "diachronous", "-n", "2", "--pub-max", "2",
+            "--cit-max", "2", "--k-max", "2", "--limit", "1",
+            "--format", fmt, "--year"]
+    code, out = invoke(argv + [nines])
+    assert code == 0
+    code, plain = invoke(argv + ["2000"])
+    assert code == 0 and "2001,2000" in plain
+    assert out == plain.replace("2000", nines).replace("2001", citing)
+
+
 def test_places_bound_is_inclusive_and_documented(table_1a_files, capsys):
     pubs, cits = table_1a_files
     code, out = invoke(["compute", "--pubs", pubs, "--cits", cits,

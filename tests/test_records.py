@@ -141,6 +141,8 @@ def test_record_copies_are_equal(cls, fields, text, hashable):
         assert type(twin) is cls
         assert twin == record
         assert repr(twin) == text
+        if hashable:
+            assert hash(twin) == hash(record)
 
 
 def test_journal_default_dicts_are_not_shared():
