@@ -175,14 +175,12 @@ def _mine_rows(witnesses):
     def columns(data):
         entry = held.get(id(data))
         if entry is None:
-            cells = sorted(data.cits.items())
-            try:
-                cits = {f"{c},{d}": v for (c, d), v in cells}
-            except ValueError:  # a year past the digit limit
-                cits = {f"{_long_str(c)},{_long_str(d)}": v
-                        for (c, d), v in cells}
+            # _long_str prints a year past the int-to-str digit limit too
             entry = held[id(data)] = data, (
-                json.dumps(data.pubs, sort_keys=True), json.dumps(cits))
+                json.dumps({_long_str(y): v
+                            for y, v in sorted(data.pubs.items())}),
+                json.dumps({f"{_long_str(c)},{_long_str(d)}": v
+                            for (c, d), v in sorted(data.cits.items())}))
         return entry[1]
 
     left = right = journals = before = None

@@ -27,9 +27,9 @@ class Ratio(Fraction):
 
 
 def _long_str(n: int) -> str:
-    """``str(n)`` for an int past CPython's int-to-str digit limit, which
-    ``str`` refuses with a ``ValueError``; ``Decimal`` converts exactly
-    and leaves the interpreter's limit alone."""
+    """``str(n)``, also for an int past CPython's int-to-str digit limit,
+    which ``str`` refuses with a ``ValueError``; ``Decimal`` converts
+    exactly and leaves the interpreter's limit alone."""
     import decimal
     return str(decimal.Decimal(n))
 

@@ -119,6 +119,28 @@ def test_mine_prints_window_years_past_the_int_digit_limit(fmt):
     assert out == plain.replace("2000", nines).replace("2001", citing)
 
 
+def test_mine_rows_print_pubs_years_past_the_int_digit_limit():
+    # at Y = -<4300 nines> the sync-roa denominator years Y - 2 and Y - 1
+    # have 4301 digits; inject_year is one of them and no format prints it
+    # yet, so the journal columns are read from the row before _emit
+    nines = "9" * 4300
+
+    def columns(year):
+        bounds = SearchBounds(n=2, pub_max=2, cit_max=2, k_max=2,
+                              target_year=year)
+        row, = cli._mine_rows(mine_counterexamples(IndicatorKind.SYNC_ROA,
+                                                   bounds, 1))
+        return "\t".join(v for k, v in row.items()
+                         if k.endswith(("_pubs", "_cits")))
+
+    plain = columns(-2000)
+    assert "-2002" in plain and "-2001" in plain
+    assert columns(-int(nines)) == (
+        plain.replace("-2000", f"-{nines}")
+        .replace("-2001", f"-1{'0' * 4300}")
+        .replace("-2002", f"-1{'0' * 4299}1"))
+
+
 def test_places_bound_is_inclusive_and_documented(table_1a_files, capsys):
     pubs, cits = table_1a_files
     code, out = invoke(["compute", "--pubs", pubs, "--cits", cits,
