@@ -18,7 +18,7 @@ from itertools import islice
 
 from .consistency import SearchBounds, iter_counterexamples
 from .core import IndicatorKind, IndicatorSpec
-from .corpus import _sensitivity_rows, _values, load_corpus, rank
+from .corpus import _groups, _sensitivity_rows, _values, load_corpus
 from .ratio import _long_str, format_exact, to_decimal
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
@@ -138,18 +138,18 @@ def _compute_table(corpus, spec, args):
 
 
 def _rank_table(corpus, spec, args):
-    ranking = rank(corpus, spec)
-    return [{"rank": entry.rank, "journal": entry.journal_id,
-             **_cell(entry.value, args.places)}
-            for entry in ranking.entries], ranking.skipped
+    groups, skipped = _groups(corpus, spec)
+    return [{"rank": group_rank, "journal": journal_id, **cell}
+            for group_rank, value, ids in groups
+            for cell in (_cell(value, args.places),)
+            for journal_id in ids], skipped
 
 
 def _sensitivity_table(corpus, spec, args):
-    ranking = rank(corpus, spec)
+    rows, skipped = _sensitivity_rows(corpus, spec, args.k_max)
     return [{"upper": row.upper_id, "lower": row.lower_id, "year": year,
              "min_k": "-" if (k := row.per_year_min_k[year]) is None else k}
-            for row in _sensitivity_rows(corpus, spec, ranking, args.k_max)
-            for year in sorted(row.per_year_min_k)], ranking.skipped
+            for row in rows for year in sorted(row.per_year_min_k)], skipped
 
 
 def _cmd_mine(args, out) -> int:

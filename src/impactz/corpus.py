@@ -431,22 +431,17 @@ def _values(corpus: Corpus, spec: IndicatorSpec
     return values, skipped
 
 
-def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
-    """Rank journals by indicator value, descending, competition style.
-
-    Equal values share a rank (1, 1, 3); within a tie, display order is
-    lexicographic by journal id.  An uncomputable journal is skipped and
-    reported with its reason.
+def _groups(corpus: Corpus, spec: IndicatorSpec) -> tuple[
+        list[tuple[int, Ratio, tuple[str, ...]]], list[tuple[str, str]]]:
+    """The one tie rule: the (rank, value, ids) groups of equal value,
+    descending, competition ranked (1, 1, 3), with ids in id order; and
+    the (id, reason) of each journal that :func:`_values` skips.
 
     The sort and the grouping use one exact integer key per value,
     ``num * D**2 // den`` with D the largest denominator: two distinct
     reduced fractions with denominators <= D differ by at least 1/D**2,
     so distinct values get distinct keys in the same order, and equal
-    keys mean equal values.  After the sort, equal neighbours are grouped
-    once: a group starting at index i has rank i + 1, and each member is
-    ``tied_with`` the group's other ids, in display order.  The cost is
-    O(N log N) plus the sum of squared group sizes, which is the size of
-    the ``tied_with`` output itself.
+    keys mean equal values.  The cost is O(N log N) time, O(N) memory.
     """
     values, skipped = _values(corpus, spec)
     scale = max((value.denominator for _, value in values), default=1) ** 2
@@ -454,16 +449,28 @@ def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
             for _, value in values]
     # descending by value; the sort is stable, so ties stay in id order
     order = sorted(range(len(values)), key=keys.__getitem__)
-
-    entries: list[RankingEntry] = []
+    groups, position = [], 1
     for _, group in groupby(order, key=keys.__getitem__):
         ids, group_values = zip(*map(values.__getitem__, group))
-        current_rank = len(entries) + 1
-        entries.extend(
-            RankingEntry(journal_id, group_values[0], current_rank,
-                         ids[:i] + ids[i + 1:])
-            for i, journal_id in enumerate(ids))
-    return Ranking(tuple(entries), tuple(skipped))
+        groups.append((position, group_values[0], ids))
+        position += len(ids)
+    return groups, skipped
+
+
+def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
+    """Rank journals by indicator value, descending, competition style.
+
+    Equal values share a rank (1, 1, 3); within a tie, display order is
+    lexicographic by journal id.  An uncomputable journal is skipped and
+    reported with its reason.  Each entry is ``tied_with`` the other ids
+    of its :func:`_groups` group, in display order; that output, the sum
+    of squared group sizes, is all ``rank`` adds to the O(N log N) groups.
+    """
+    groups, skipped = _groups(corpus, spec)
+    return Ranking(tuple(
+        RankingEntry(journal_id, value, group_rank, ids[:i] + ids[i + 1:])
+        for group_rank, value, ids in groups
+        for i, journal_id in enumerate(ids)), tuple(skipped))
 
 
 def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
@@ -477,25 +484,24 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
     """
     if fault := _positive_fault(k_max, "k_max"):
         raise ValidationError(fault)
-    return _sensitivity_rows(corpus, spec, rank(corpus, spec), k_max)
+    return _sensitivity_rows(corpus, spec, k_max)[0]
 
 
-def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
-                      k_max: int) -> list[SensitivityRow]:
-    """:func:`sensitivity_report` over ``ranking``, which the caller has
-    computed as ``rank(corpus, spec)``.
+def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, k_max: int
+                      ) -> tuple[list[SensitivityRow], list[tuple[str, str]]]:
+    """:func:`sensitivity_report`'s rows, each pair the last id of a
+    :func:`_groups` group and the first of the next, and the skipped journals.
 
     Each pair's minima come from one :func:`_thresholds` call, checked by
     one :func:`_verifier` for the whole report, so a journal's "before"
     value is evaluated once however many pairs and years it takes part in;
     nothing mutates the corpus's journals while the report runs."""
+    groups, skipped = _groups(corpus, spec)
     verify = _verifier(spec)
     rows: list[SensitivityRow] = []
-    for upper, lower in zip(ranking.entries, ranking.entries[1:]):
-        if upper.value == lower.value:
-            continue
-        left = corpus.journals[upper.journal_id]
-        right = corpus.journals[lower.journal_id]
+    for (_, _, upper), (_, _, lower) in zip(groups, groups[1:]):
+        left = corpus.journals[upper[-1]]
+        right = corpus.journals[lower[0]]
         per_year = {year: k if k is not None and k <= k_max else None
                     for year, k in _thresholds(left, right, spec).items()}
         for year, k in per_year.items():
@@ -507,6 +513,5 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, ranking: Ranking,
                     for j in range(max(k - 1, 1), k + 1))
                 if not at or any(below):
                     raise AssertionError
-        rows.append(SensitivityRow(upper.journal_id, lower.journal_id,
-                                   per_year, k_max))
-    return rows
+        rows.append(SensitivityRow(upper[-1], lower[0], per_year, k_max))
+    return rows, skipped

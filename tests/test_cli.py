@@ -21,7 +21,6 @@ from impactz import (
     consistency,
     format_exact,
     mine_counterexamples,
-    rank,
 )
 from impactz.cli import run
 
@@ -346,12 +345,13 @@ def test_uncomputable_journal_is_skipped_alike(tmp_path, capsys, kind, year,
 
 def test_sensitivity_ranks_once(table_1a_files, monkeypatch):
     calls = []
+    groups = impactz.corpus._groups
 
-    def counting_rank(corpus, spec):
+    def counting_groups(corpus, spec):
         calls.append(spec)
-        return rank(corpus, spec)
+        return groups(corpus, spec)
 
-    monkeypatch.setattr(cli, "rank", counting_rank)
+    monkeypatch.setattr(impactz.corpus, "_groups", counting_groups)
     pubs, cits = table_1a_files
     code, out = invoke(["sensitivity", "--pubs", pubs, "--cits", cits,
                         "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
@@ -749,6 +749,74 @@ def test_oversized_mine_box_is_refused_through_the_api(kind, n, pub_max,
                           timeout=60, preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"the box holds more than 100000 {what}\n"
+
+
+@pytest.mark.parametrize("command, lines", [("rank", 20_000),
+                                           ("sensitivity", 0)])
+def test_all_tied_journals_rank_under_a_memory_cap(tmp_path, command, lines):
+    # 20,000 journals, each with one publication in Y - 1 and no citations,
+    # all tie at 0: a tie list per journal would hold 4 * 10**8 ids, so
+    # the run gets 1 GiB of address space
+    pubs = tmp_path / "pubs.csv"
+    cits = tmp_path / "cits.csv"
+    pubs.write_text("journal,year,pubs\n" + "".join(
+        f"J{i:05},{Y - 1},1\n" for i in range(20_000)))
+    cits.write_text("journal,citing_year,cited_year,count\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "impactz.cli", command, "--pubs", str(pubs),
+         "--cits", str(cits), "--kind", "sync-roa", "-n", "2",
+         "--year", str(Y)], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = proc.stdout.splitlines()
+    assert [row.split("\t", 1)[0] for row in rows] == ["1"] * lines
+
+
+# --- python -O ----------------------------------------------------------------
+
+_RUN_EACH = """
+import io, json, sys
+from impactz.cli import run
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    results.append((run(argv, out), out.getvalue()))
+print(json.dumps([sys.flags.optimize, results]))
+"""
+
+
+def test_mine_and_sensitivity_print_the_same_under_python_O(tmp_path):
+    # the commands of the two "under python -O" workflow steps, each run
+    # once in a plain interpreter and once in an optimized one
+    pubs = tmp_path / "pubs.csv"
+    cits = tmp_path / "cits.csv"
+    pubs.write_text("journal,year,pubs\nJ,1998,10\nJ,1999,10\nK,1998,30\n"
+                    "K,1999,30\nL,1998,5\nL,1999,20\n")
+    cits.write_text("journal,citing_year,cited_year,count\nJ,2000,1999,30\n"
+                    "K,2000,1998,60\nL,2000,1998,4\nL,2000,1999,10\n")
+    argvs = [["mine", "--kind", kind, "-n", "2", "--year", "2000",
+              "--pub-max", "4", "--cit-max", "8", "--k-max", "4",
+              "--limit", "10"]
+             for kind in ("sync-roa", "diachronous", "sync-aor")]
+    argvs += [["sensitivity", "--pubs", str(pubs), "--cits", str(cits),
+               "--kind", kind, "-n", "2", "--year", "2000"]
+              for kind in ("sync-roa", "sync-aor")]
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    printed = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _RUN_EACH, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        printed.append(json.loads(proc.stdout))
+    (plain_flag, plain), (optimized_flag, optimized) = printed
+    assert (plain_flag, optimized_flag) == (0, 1)
+    assert all(code == 0 and out for code, out in plain)
+    assert optimized == plain
 
 
 # --- exit-code fuzz -----------------------------------------------------------

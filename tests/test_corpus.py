@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -956,6 +957,17 @@ def test_rank_matches_definition_oracle():
         assert [(e.journal_id, e.value, e.rank, e.tied_with)
                 for e in ranking.entries] == entries
         assert [j for j, _ in ranking.skipped] == skipped
+        # the CLI's path: tie groups are the oracle's runs of equal value,
+        # and sensitivity pairs the neighbours across each run's edge
+        groups, group_skipped = corpus_module._groups(corpus, ROA2)
+        runs = [list(run) for _, run in groupby(entries, key=lambda e: e[1])]
+        assert groups == [(run[0][2], run[0][1], tuple(j for j, *_ in run))
+                          for run in runs]
+        assert [j for j, _ in group_skipped] == skipped
+        assert [(row.upper_id, row.lower_id)
+                for row in sensitivity_report(corpus, ROA2, 1)] == [
+            (upper[0], lower[0]) for upper, lower in zip(entries, entries[1:])
+            if upper[1] > lower[1]]
         largest_group.append(max(
             Counter(v for _, v, _, _ in entries).values(), default=0))
         any_skipped.append(bool(skipped))
