@@ -16,7 +16,7 @@ import sys
 from functools import partial
 from itertools import islice
 
-from .consistency import SearchBounds, iter_counterexamples
+from .consistency import SearchBounds, _witnesses
 from .core import IndicatorKind, IndicatorSpec
 from .corpus import _groups, _sensitivity_rows, _values, load_corpus
 from .ratio import _long_str, format_exact, to_decimal
@@ -156,18 +156,23 @@ def _cmd_mine(args, out) -> int:
     bounds = SearchBounds(n=args.n, pub_max=args.pub_max,
                           cit_max=args.cit_max, k_max=args.k_max,
                           target_year=args.year, s=args.s)
-    witnesses = islice(iter_counterexamples(_KINDS[args.kind], bounds),
-                       args.limit)
-    _emit(_mine_rows(witnesses), args.format, out)
+    rows = _mine_rows(islice(_witnesses(_KINDS[args.kind], bounds, False),
+                             args.limit), args.format)
+    if args.format == "json":
+        _emit(rows, "json", out)
+    else:
+        for line in rows:
+            out.write(line)
     return 0
 
 
-def _mine_rows(witnesses):
-    """One row per witness.  Each journal's pubs and cits columns are
-    formatted once per ``JournalData`` object, which the miner shares
-    across every pair of its box that holds that vector; the "before"
-    column is formatted once per (left, right) pair, and "after" once
-    per witness."""
+def _mine_rows(witnesses, fmt: str):
+    """One TSV line, or JSON row dict, per ``(left, right, injection,
+    verdict)`` of :func:`consistency._witnesses`.  Each journal's pubs and
+    cits columns are formatted once per ``JournalData`` object, which the
+    miner shares across every pair of its box that holds that vector; the
+    TSV prefix and JSON dict of those four columns, and "before", once
+    per (left, right) pair; only inject_year, k and "after" per witness."""
     import json
     # id(data) -> (data, columns); holding data keeps its id from reuse
     held = {}
@@ -183,21 +188,23 @@ def _mine_rows(witnesses):
                             for (c, d), v in sorted(data.cits.items())}))
         return entry[1]
 
-    left = right = journals = before = None
-    for witness in witnesses:
-        scenario, verdict = witness.scenario, witness.verdict
-        if scenario.left is not left or scenario.right is not right:
-            left, right = scenario.left, scenario.right
-            (left_pubs, left_cits), (right_pubs, right_cits) = (
-                columns(left), columns(right))
-            journals = {"left_pubs": left_pubs, "left_cits": left_cits,
-                        "right_pubs": right_pubs, "right_cits": right_cits}
+    tsv = fmt == "tsv"
+    left = right = None
+    for pair_left, pair_right, injection, verdict in witnesses:
+        if pair_left is not left or pair_right is not right:
+            left, right = pair_left, pair_right
+            journals = dict(zip(
+                ("left_pubs", "left_cits", "right_pubs", "right_cits"),
+                (*columns(left), *columns(right))))
+            prefix = "\t".join(journals.values())
             before = (f"{format_exact(verdict.before[0])} vs "
                       f"{format_exact(verdict.before[1])}")
-        (year, k), = scenario.injection.additions
-        yield {**journals, "inject_year": year, "k": k, "before": before,
-               "after": f"{format_exact(verdict.after[0])} vs "
-                        f"{format_exact(verdict.after[1])}"}
+        (year, k), = injection.additions
+        after = (f"{format_exact(verdict.after[0])} vs "
+                 f"{format_exact(verdict.after[1])}")
+        yield (f"{prefix}\t{year}\t{k}\t{before}\t{after}\n" if tsv else
+               {**journals, "inject_year": year, "k": k, "before": before,
+                "after": after})
 
 
 def _cmd_verify_paper(args, out) -> int:

@@ -325,19 +325,28 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
                          equal_pubs: bool = False
                          ) -> Iterator[ReversalWitness]:
     """Exhaustively enumerate integer publication/citation assignments
-    within ``bounds`` and yield every reversal witness, one at a time.
+    within ``bounds`` and yield every reversal witness, one at a time:
+    each ``(left, right, injection, verdict)`` of :func:`_witnesses`,
+    verified there, as a ``ReversalWitness`` of its ``PairScenario``."""
+    spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
+    for left, right, inj, verdict in _witnesses(kind, bounds, equal_pubs):
+        yield ReversalWitness(PairScenario(left, right, spec, inj), verdict)
 
-    One miner, :func:`_iter_scenarios`, serves all three kinds over one
-    integer table.  Output order is canonical: lexicographic over (left
-    pubs, left cits, right pubs, right cits, injection year, k), with
-    vectors indexed by ascending year.  Mirrored duplicates are pruned by
-    only emitting scenarios whose before-ordering is left < right.  Every
-    witness is re-verified before it is yielded, by one call to the box's
-    :func:`_verifier`, the one verifier behind
-    :func:`check_z_consistency`: each tag comes from the exact values of
-    the witness's own journals and injection, and each journal's
-    "before" and each (journal, injection) "after" is evaluated once per
-    box.  A pair's witnesses share its two ``JournalData`` objects.
+
+def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
+               ) -> Iterator[tuple]:
+    """Every reversal witness of the box as a ``(left, right, injection,
+    verdict)`` tuple, not a record, in canonical order: lexicographic over
+    (left pubs, left cits, right pubs, right cits, injection year, k),
+    vectors by ascending year; each pair once, oriented left < right.
+
+    :func:`_iter_scenarios` lists the candidates.  Each is re-verified by
+    one call to the box's :func:`_verifier`, the one verifier behind
+    :func:`check_z_consistency`, which evaluates each journal's "before"
+    and each (journal, injection) "after" once per box; a tag other than
+    REVERSED raises AssertionError, under ``python -O`` too.  A pair's
+    witnesses follow one another and share its two ``JournalData``
+    objects.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     verify = None
@@ -348,8 +357,7 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
             verdict = verify(left, right, injection)
             if verdict.tag is not VerdictTag.REVERSED:
                 raise AssertionError("miner candidate failed self-check")
-            yield ReversalWitness(
-                PairScenario(left, right, spec, injection), verdict)
+            yield left, right, injection, verdict
 
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:

@@ -118,6 +118,13 @@ def test_mine_prints_window_years_past_the_int_digit_limit(fmt):
     assert out == plain.replace("2000", nines).replace("2001", citing)
 
 
+def _parts(witnesses):
+    """Each witness record as the (left, right, injection, verdict) that
+    ``cli._mine_rows`` reads."""
+    return ((w.scenario.left, w.scenario.right, w.scenario.injection,
+             w.verdict) for w in witnesses)
+
+
 def test_mine_rows_print_pubs_years_past_the_int_digit_limit():
     # at Y = -<4300 nines> the sync-roa denominator years Y - 2 and Y - 1
     # have 4301 digits; inject_year is one of them and no format prints it
@@ -127,8 +134,8 @@ def test_mine_rows_print_pubs_years_past_the_int_digit_limit():
     def columns(year):
         bounds = SearchBounds(n=2, pub_max=2, cit_max=2, k_max=2,
                               target_year=year)
-        row, = cli._mine_rows(mine_counterexamples(IndicatorKind.SYNC_ROA,
-                                                   bounds, 1))
+        row, = cli._mine_rows(_parts(mine_counterexamples(
+            IndicatorKind.SYNC_ROA, bounds, 1)), "json")
         return "\t".join(v for k, v in row.items()
                          if k.endswith(("_pubs", "_cits")))
 
@@ -583,10 +590,34 @@ def test_mine_rows_hold_what_they_memoise(fmt):
     bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
     witnesses = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 500)
     out = io.StringIO()
-    cli._emit(cli._mine_rows(copy.deepcopy(w) for w in witnesses), fmt,
-              out)
+    rows = cli._mine_rows(_parts(copy.deepcopy(w) for w in witnesses), fmt)
+    if fmt == "json":
+        cli._emit(rows, fmt, out)
+    else:
+        out.writelines(rows)
     assert (out.getvalue().splitlines()
             == _listed_mine_output(witnesses, fmt).splitlines())
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_mine_rows_build_no_witness_records(monkeypatch, fmt):
+    # the benchmark's sync-aor box: every row is written from the miner's
+    # (left, right, injection, verdict), so building a record fails it
+    def refuse(*args):
+        raise AssertionError("mine built a witness record")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(consistency, "PairScenario", refuse)
+        patch.setattr(consistency, "ReversalWitness", refuse)
+        code, out = invoke(_mine_argv("sync-aor", 2, 2, 4, 4, 10**6, fmt))
+    assert code == 0
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
+    witnesses = list(consistency.iter_counterexamples(IndicatorKind.SYNC_AOR,
+                                                      bounds))
+    assert len(witnesses) == 3804
+    assert all(witness.verify() for witness in witnesses)
+    assert out.splitlines(keepends=True) \
+        == _listed_mine_output(witnesses, fmt).splitlines(keepends=True)
 
 
 def test_mine_builds_few_journals_in_a_large_box(monkeypatch):
@@ -722,6 +753,20 @@ def test_oversized_mine_box_is_refused(kind, n, pub_max, cit_max, what):
                           timeout=60, preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: the box holds more than 100000 {what}\n"
+
+
+def test_mine_limit_one_with_a_huge_k_max_prints_one_row():
+    # the first pair reverses in both years for every k from 2 to 10**7:
+    # a CLI path that listed its injections would run out of 1 GiB of
+    # address space or of time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    argv = _mine_argv("sync-roa", 2, 2, 5, 10**7, 1, "tsv")
+    proc = subprocess.run([sys.executable, "-m", "impactz.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=20, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind, n, pub_max, cit_max, what", [
