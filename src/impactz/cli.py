@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 
 from .consistency import SearchBounds, _witnesses
 from .core import IndicatorKind, IndicatorSpec
 from .corpus import _groups, _sensitivity_rows, _values, load_corpus
-from .ratio import _long_str, format_exact, to_decimal
+from .ratio import _decimal_text, _fraction_text, _long_str, format_exact
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
 
@@ -96,36 +96,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cell(value, places: int) -> dict[str, str]:
-    return {"exact": format_exact(value), "decimal": to_decimal(value, places)}
-
-
 def _emit(rows, fmt: str, out) -> None:
-    """Write each row of the iterable as soon as it arrives, its columns
-    in the row dict's order.  JSON output is byte-identical to
-    ``json.dump(list(rows), out, indent=2)`` and a newline; the array
-    framing is written here, one row at a time."""
+    """Write each row of the iterable as soon as it arrives: a TSV line as
+    it is, or a flat dict of str and int values as ``json.dump(list(rows),
+    out, indent=2)`` and a newline write it, but with each int in full past
+    the int-to-str digit limit, for which ``json`` has no hook."""
     if fmt == "json":
-        import json
+        from json import dumps
         sep = "[\n  "
         for row in rows:
-            out.write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
+            out.write(sep + "{\n    " + ",\n    ".join(
+                f"{dumps(k)}: {_long_str(v) if type(v) is int else dumps(v)}"
+                for k, v in row.items()) + "\n  }")
             sep = ",\n  "
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
     else:
-        for row in rows:
-            out.write("\t".join(map(str, row.values())) + "\n")
+        out.writelines(rows)
 
 
 def _cmd_table(table, args, out) -> int:
-    """Load the two CSVs, write ``table``'s rows, then warn on stderr
-    about each journal that it skipped."""
+    """Load the two CSVs, write ``table``'s rows of its column ``names`` as
+    TSV lines, each int in full past the int-to-str digit limit, or as JSON
+    dicts, then warn on stderr about each journal that it skipped."""
     with open(args.pubs, encoding="utf-8") as pubs_fh, \
             open(args.cits, encoding="utf-8") as cits_fh:
         corpus = load_corpus(pubs_fh, cits_fh)
     spec = IndicatorSpec(_KINDS[args.kind], args.n, args.year, args.s)
-    rows, skipped = table(corpus, spec, args)
-    _emit(rows, args.format, out)
+    names, rows, skipped = table(corpus, spec, args)
+    _emit((dict(zip(names, row)) for row in rows) if args.format == "json"
+          else ("\t".join(map(_long_str, row)) + "\n" for row in rows),
+          args.format, out)
     for journal_id, reason in skipped:
         print(f"warning: skipped {journal_id}: {reason}", file=sys.stderr)
     return 0
@@ -133,36 +133,36 @@ def _cmd_table(table, args, out) -> int:
 
 def _compute_table(corpus, spec, args):
     values, skipped = _values(corpus, spec)
-    return [{"journal": journal_id, **_cell(value, args.places)}
-            for journal_id, value in values], skipped
+    return ("journal", "exact", "decimal"), (
+        (journal_id, _fraction_text(*value),
+         _decimal_text(*value, args.places))
+        for journal_id, value in values), skipped
 
 
 def _rank_table(corpus, spec, args):
     groups, skipped = _groups(corpus, spec)
-    return [{"rank": group_rank, "journal": journal_id, **cell}
-            for group_rank, value, ids in groups
-            for cell in (_cell(value, args.places),)
-            for journal_id in ids], skipped
+    return ("rank", "journal", "exact", "decimal"), (
+        (group_rank, journal_id, *cell)
+        for group_rank, value, ids in groups
+        for cell in ((_fraction_text(*value),
+                      _decimal_text(*value, args.places)),)
+        for journal_id in ids), skipped
 
 
 def _sensitivity_table(corpus, spec, args):
     rows, skipped = _sensitivity_rows(corpus, spec, args.k_max)
-    return [{"upper": row.upper_id, "lower": row.lower_id, "year": year,
-             "min_k": "-" if (k := row.per_year_min_k[year]) is None else k}
-            for row in rows for year in sorted(row.per_year_min_k)], skipped
+    return ("upper", "lower", "year", "min_k"), (
+        (row.upper_id, row.lower_id, year,
+         "-" if (k := row.per_year_min_k[year]) is None else k)
+        for row in rows for year in sorted(row.per_year_min_k)), skipped
 
 
 def _cmd_mine(args, out) -> int:
     bounds = SearchBounds(n=args.n, pub_max=args.pub_max,
                           cit_max=args.cit_max, k_max=args.k_max,
                           target_year=args.year, s=args.s)
-    rows = _mine_rows(islice(_witnesses(_KINDS[args.kind], bounds, False),
-                             args.limit), args.format)
-    if args.format == "json":
-        _emit(rows, "json", out)
-    else:
-        for line in rows:
-            out.write(line)
+    _emit(_mine_rows(islice(_witnesses(_KINDS[args.kind], bounds, False),
+                            args.limit), args.format), args.format, out)
     return 0
 
 
@@ -189,6 +189,7 @@ def _mine_rows(witnesses, fmt: str):
         return entry[1]
 
     tsv = fmt == "tsv"
+    year_text = cache(_long_str)  # each inject_year's TSV text, once
     left = right = None
     for pair_left, pair_right, injection, verdict in witnesses:
         if pair_left is not left or pair_right is not right:
@@ -202,9 +203,9 @@ def _mine_rows(witnesses, fmt: str):
         (year, k), = injection.additions
         after = (f"{format_exact(verdict.after[0])} vs "
                  f"{format_exact(verdict.after[1])}")
-        yield (f"{prefix}\t{year}\t{k}\t{before}\t{after}\n" if tsv else
-               {**journals, "inject_year": year, "k": k, "before": before,
-                "after": after})
+        yield (f"{prefix}\t{year_text(year)}\t{k}\t{before}\t{after}\n"
+               if tsv else {**journals, "inject_year": year, "k": k,
+                            "before": before, "after": after})
 
 
 def _cmd_verify_paper(args, out) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 from math import prod
 from types import MappingProxyType
 
-from .ratio import Ratio
+from .ratio import Ratio, _long_str
 
 Year = int
 
@@ -284,11 +284,12 @@ def _evaluate(journal_id: str, spec: IndicatorSpec, years: tuple[Year, ...],
         if not any(pubs):
             raise ZeroDenominator(
                 f"{journal_id}: no publications in window "
-                f"{years[0]}..{years[-1]}", journal=journal_id)
+                f"{_long_str(years[0])}..{_long_str(years[-1])}",
+                journal=journal_id)
     elif not all(pubs):
         empty = max(y for y, p in zip(years, pubs) if not p)
         raise ZeroDenominator(
-            f"{journal_id}: no publications in year {empty}",
+            f"{journal_id}: no publications in year {_long_str(empty)}",
             year=empty, journal=journal_id)
     if spec.kind is IndicatorKind.SYNC_AOR:
         common = prod(pubs)

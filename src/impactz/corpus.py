@@ -16,6 +16,7 @@ import io
 import os
 import re
 from itertools import groupby
+from math import gcd
 
 from .consistency import VerdictTag, _thresholds, _verifier
 from .core import (
@@ -413,29 +414,31 @@ def corpus_from_json(text: str) -> Corpus:
     return Corpus(journals)
 
 
-def _values(corpus: Corpus, spec: IndicatorSpec
-            ) -> tuple[list[tuple[str, Ratio]], list[tuple[str, str]]]:
-    """The one skip rule: in id order, the (id, value) of each journal
-    the indicator can evaluate and the (id, reason) of each it cannot.
-    Each value is :func:`~impactz.core.compute`'s, over one read of the
-    window."""
+def _values(corpus: Corpus, spec: IndicatorSpec) -> tuple[
+        list[tuple[str, tuple[int, int]]], list[tuple[str, str]]]:
+    """The one skip rule: in id order, the (id, (num, den)) of each
+    journal the indicator can evaluate and the (id, reason) of each it
+    cannot.  Each value is :func:`~impactz.core.compute`'s, over one read
+    of the window, reduced but not built as a :class:`Ratio`."""
     years, cells = window(spec)
     values, skipped = [], []
     for journal_id, data in sorted(corpus.journals.items()):
         try:
-            values.append((journal_id, Ratio(*_evaluate(
-                data.journal_id, spec, years,
-                *_window_counts(data, years, cells)))))
+            num, den = _evaluate(data.journal_id, spec, years,
+                                 *_window_counts(data, years, cells))
         except ZeroDenominator as exc:
             skipped.append((journal_id, str(exc)))
+            continue
+        values.append((journal_id, (num // (g := gcd(num, den)), den // g)))
     return values, skipped
 
 
 def _groups(corpus: Corpus, spec: IndicatorSpec) -> tuple[
-        list[tuple[int, Ratio, tuple[str, ...]]], list[tuple[str, str]]]:
-    """The one tie rule: the (rank, value, ids) groups of equal value,
-    descending, competition ranked (1, 1, 3), with ids in id order; and
-    the (id, reason) of each journal that :func:`_values` skips.
+        list[tuple[int, tuple[int, int], tuple[str, ...]]],
+        list[tuple[str, str]]]:
+    """The one tie rule: the (rank, (num, den), ids) groups of equal
+    value, descending, competition ranked (1, 1, 3), with ids in id order;
+    and the (id, reason) of each journal that :func:`_values` skips.
 
     The sort and the grouping use one exact integer key per value,
     ``num * D**2 // den`` with D the largest denominator: two distinct
@@ -444,9 +447,8 @@ def _groups(corpus: Corpus, spec: IndicatorSpec) -> tuple[
     keys mean equal values.  The cost is O(N log N) time, O(N) memory.
     """
     values, skipped = _values(corpus, spec)
-    scale = max((value.denominator for _, value in values), default=1) ** 2
-    keys = [-(value.numerator * scale // value.denominator)
-            for _, value in values]
+    scale = max((den for _, (_, den) in values), default=1) ** 2
+    keys = [-(num * scale // den) for _, (num, den) in values]
     # descending by value; the sort is stable, so ties stay in id order
     order = sorted(range(len(values)), key=keys.__getitem__)
     groups, position = [], 1
@@ -469,7 +471,8 @@ def rank(corpus: Corpus, spec: IndicatorSpec) -> Ranking:
     groups, skipped = _groups(corpus, spec)
     return Ranking(tuple(
         RankingEntry(journal_id, value, group_rank, ids[:i] + ids[i + 1:])
-        for group_rank, value, ids in groups
+        for group_rank, (num, den), ids in groups
+        for value in (Ratio(num, den),)  # one per group
         for i, journal_id in enumerate(ids)), tuple(skipped))
 
 

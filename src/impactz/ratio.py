@@ -26,20 +26,40 @@ class Ratio(Fraction):
         return f"Ratio({self.numerator}, {self.denominator})"
 
 
-def _long_str(n: int) -> str:
+def _long_str(n: int | str) -> str:
     """``str(n)``, also for an int past CPython's int-to-str digit limit,
     which ``str`` refuses with a ``ValueError``; ``Decimal`` converts
     exactly and leaves the interpreter's limit alone."""
-    import decimal
-    return str(decimal.Decimal(n))
+    try:
+        return str(n)
+    except ValueError:  # past the digit limit
+        import decimal
+        return str(decimal.Decimal(n))
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """``num/den`` as :func:`format_exact` writes it."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:  # past the digit limit
+        return f"{_long_str(num)}/{_long_str(den)}"
+
+
+def _decimal_text(num: int, den: int, places: int) -> str:
+    """``num/den`` as :func:`to_decimal` writes it."""
+    q, rem = divmod(num * 10**places, den)
+    if 2 * rem >= den:
+        q += 1
+    digits = _long_str(q)
+    if places == 0:
+        return digits
+    digits = digits.rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 def format_exact(r: Fraction) -> str:
     """Render as ``num/den``, always with an explicit denominator."""
-    try:
-        return f"{r.numerator}/{r.denominator}"
-    except ValueError:  # past the digit limit
-        return f"{_long_str(r.numerator)}/{_long_str(r.denominator)}"
+    return _fraction_text(r.numerator, r.denominator)
 
 
 def to_decimal(r: Fraction, places: int = 2) -> str:
@@ -49,15 +69,4 @@ def to_decimal(r: Fraction, places: int = 2) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    scaled = r.numerator * 10**places
-    q, rem = divmod(scaled, r.denominator)
-    if 2 * rem >= r.denominator:
-        q += 1
-    try:
-        digits = str(q)
-    except ValueError:  # past the digit limit
-        digits = _long_str(q)
-    if places == 0:
-        return digits
-    digits = digits.rjust(places + 1, "0")
-    return f"{digits[:-places]}.{digits[-places:]}"
+    return _decimal_text(r.numerator, r.denominator, places)

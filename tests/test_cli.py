@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,11 +17,15 @@ from hypothesis import given, settings, strategies as st
 import impactz
 from impactz import (
     IndicatorKind,
+    IndicatorSpec,
+    Ratio,
     SearchBounds,
     cli,
     consistency,
     format_exact,
+    load_corpus,
     mine_counterexamples,
+    rank,
 )
 from impactz.cli import run
 
@@ -118,6 +123,75 @@ def test_mine_prints_window_years_past_the_int_digit_limit(fmt):
     assert out == plain.replace("2000", nines).replace("2001", citing)
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_mine_prints_inject_years_past_the_int_digit_limit(fmt):
+    # at Y = -<4300 nines> the sync-roa denominator years Y - 2 and Y - 1,
+    # one of which every witness injects into, have 4301 digits; the row
+    # is the Y = -2000 row with each year in full, and a JSON inject_year
+    # is still an integer literal
+    nines = "9" * 4300
+    argv = ["mine", "--kind", "sync-roa", "-n", "2", "--pub-max", "2",
+            "--cit-max", "2", "--k-max", "2", "--limit", "1",
+            "--format", fmt]
+    code, out = invoke(argv + [f"--year=-{nines}"])
+    assert code == 0
+    code, plain = invoke(argv + ["--year=-2000"])
+    inject_year = {"tsv": "\t-2002\t", "json": '"inject_year": -2002,'}[fmt]
+    assert code == 0 and inject_year in plain
+    assert out == (plain.replace("-2000", f"-{nines}")
+                   .replace("-2001", f"-1{'0' * 4300}")
+                   .replace("-2002", f"-1{'0' * 4299}1"))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("command", ["compute", "rank", "sensitivity"])
+@pytest.mark.parametrize("kind", ["sync-roa", "sync-aor"])
+def test_skip_warnings_print_window_years_past_the_int_digit_limit(
+        tmp_path, capsys, fmt, command, kind):
+    # Y - 2 and Y - 1 at Y = -<4300 nines>, each 4301 digits
+    before, last = f"-1{'0' * 4299}1", f"-1{'0' * 4300}"
+    reason = {"sync-roa": f"no publications in window {before}..{last}",
+              "sync-aor": f"no publications in year {last}"}[kind]
+    pubs, cits = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+    pubs.write_text("journal,year,pubs\nJ,1998,10\n")
+    cits.write_text("journal,citing_year,cited_year,count\n")
+    code, out = invoke([command, "--pubs", str(pubs), "--cits", str(cits),
+                        "--kind", kind, "-n", "2", f"--year=-{'9' * 4300}",
+                        "--format", fmt])
+    assert (code, out) == (0, {"tsv": "", "json": "[]\n"}[fmt])
+    assert capsys.readouterr().err == f"warning: skipped J: J: {reason}\n"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_sensitivity_prints_window_years_past_the_int_digit_limit(tmp_path,
+                                                                  fmt):
+    # at Y = 50 - <4300 nines> and -n 100, the window's last year Y - 1
+    # has 4300 digits, so a CSV can hold it, and its first year Y - 100
+    # has 4301; each row is the Y = 2000 row with its year shifted
+    def rows(year):
+        pubs, cits = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+        pubs.write_text(f"journal,year,pubs\nJ,{year - 1},10\n"
+                        f"K,{year - 1},30\n")
+        cits.write_text("journal,citing_year,cited_year,count\n"
+                        f"J,{year},{year - 1},30\nK,{year},{year - 1},60\n")
+        code, out = invoke(["sensitivity", "--pubs", str(pubs),
+                            "--cits", str(cits), "--kind", "sync-roa",
+                            "-n", "100", f"--year={year}", "--k-max", "5",
+                            "--format", fmt])
+        assert code == 0
+        if fmt == "json":  # Decimal reads an integer of any length
+            return [list(row.values())
+                    for row in json.loads(out, parse_int=Decimal)]
+        return [[upper, lower, Decimal(year), k] for upper, lower, year, k
+                in (line.split("\t") for line in out.splitlines())]
+
+    year = 50 - int("9" * 4300)
+    plain = rows(2000)
+    assert len(plain) == 100
+    assert rows(year) == [[upper, lower, Decimal(int(y) - 2000 + year), k]
+                          for upper, lower, y, k in plain]
+
+
 def _parts(witnesses):
     """Each witness record as the (left, right, injection, verdict) that
     ``cli._mine_rows`` reads."""
@@ -127,8 +201,7 @@ def _parts(witnesses):
 
 def test_mine_rows_print_pubs_years_past_the_int_digit_limit():
     # at Y = -<4300 nines> the sync-roa denominator years Y - 2 and Y - 1
-    # have 4301 digits; inject_year is one of them and no format prints it
-    # yet, so the journal columns are read from the row before _emit
+    # have 4301 digits; the journal columns are read from the row dict
     nines = "9" * 4300
 
     def columns(year):
@@ -364,6 +437,92 @@ def test_sensitivity_ranks_once(table_1a_files, monkeypatch):
                         "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
     assert code == 0 and out
     assert len(calls) == 1
+
+
+def _seeded_corpus(tmp_path):
+    """CSV paths of 30 journals with small counts, so that values tie, a
+    few of them with no publications in some window year, so skipped."""
+    rng = random.Random(28)
+    pubs, cits = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+    with open(pubs, "w") as pubs_fh, open(cits, "w") as cits_fh:
+        pubs_fh.write("journal,year,pubs\n")
+        cits_fh.write("journal,citing_year,cited_year,count\n")
+        for j in range(30):
+            for year in range(Y - 4, Y + 1):
+                if rng.random() < 0.85:
+                    pubs_fh.write(f"J{j:02},{year},{rng.randint(1, 3)}\n")
+            for citing in range(Y - 3, Y + 2):
+                for cited in range(Y - 4, citing + 1):
+                    cits_fh.write(f"J{j:02},{citing},{cited},"
+                                  f"{rng.randint(0, 4)}\n")
+    return str(pubs), str(cits)
+
+
+_TABLE_SPECS = [["--kind", "sync-roa", "-n", "2", "--year", str(Y)],
+                ["--kind", "sync-aor", "-n", "2", "--year", str(Y)],
+                ["--kind", "diachronous", "-n", "2", "--year", str(Y - 2)]]
+
+
+@pytest.mark.parametrize("command", ["compute", "rank", "sensitivity"])
+def test_tables_print_the_same_rows_in_tsv_and_json(tmp_path, capsys,
+                                                    command):
+    # the two formats take separate writers; each TSV line must be its
+    # JSON row's values, in order, and both warn about the same journals
+    pubs, cits = _seeded_corpus(tmp_path)
+    cells = []
+    for spec in _TABLE_SPECS:
+        for places in ("0", "7"):
+            argv = [command, "--pubs", pubs, "--cits", cits, *spec,
+                    "--places", places]
+            if command == "sensitivity":
+                argv += ["--k-max", "3"]
+            code, tsv = invoke(argv)
+            warnings = capsys.readouterr().err
+            assert code == 0 and "warning: skipped" in warnings
+            code, text = invoke(argv + ["--format", "json"])
+            assert code == 0 and capsys.readouterr().err == warnings
+            lines, rows = tsv.splitlines(), json.loads(text)
+            assert rows and len(lines) == len(rows)
+            for line, row in zip(lines, rows):
+                assert line.split("\t") == [str(value)
+                                            for value in row.values()]
+            cells += [row.get("exact", row.get("min_k")) for row in rows]
+    # some values tie, and some pairs do not reverse by k = 3
+    assert len(set(cells)) < len(cells)
+    assert command != "sensitivity" or "-" in cells
+
+
+def test_compute_and_rank_build_no_ratio(tmp_path, monkeypatch):
+    # the CLI formats each value from its reduced integers; the public
+    # rank() still builds a Ratio, one per tie group
+    built = []
+    new = Ratio.__new__
+
+    def counting_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Ratio, "__new__", counting_new)
+    pubs, cits = _seeded_corpus(tmp_path)
+    for command in ("compute", "rank"):
+        for spec in _TABLE_SPECS:
+            for fmt in ("tsv", "json"):
+                code, out = invoke([command, "--pubs", pubs, "--cits", cits,
+                                    *spec, "--format", fmt])
+                assert code == 0 and out
+    assert built == []
+    ranking = rank(load_corpus(Path(pubs), Path(cits)),
+                   IndicatorSpec(IndicatorKind.SYNC_ROA, 2, Y))
+    assert len(built) == len({entry.rank for entry in ranking.entries}) > 1
+
+
+@given(st.lists(st.dictionaries(st.text(), st.text() | st.integers(),
+                                min_size=1), max_size=3))
+def test_json_rows_are_written_as_json_dump_writes_them(rows):
+    out, want = io.StringIO(), io.StringIO()
+    cli._emit(iter(rows), "json", out)
+    json.dump(rows, want, indent=2)
+    assert out.getvalue() == want.getvalue() + "\n"
 
 
 def test_oversized_csv_field_is_exit_one(tmp_path, capsys):
@@ -660,8 +819,8 @@ def test_mine_output_is_pinned(kind, pub_max, cit_max, k_max, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-class _Sink:
-    """A write-only output that keeps nothing but a byte count."""
+class _Sink(io.TextIOBase):
+    """A write-only text output that keeps nothing but a byte count."""
 
     def __init__(self):
         self.size = 0
@@ -862,6 +1021,78 @@ def test_mine_and_sensitivity_print_the_same_under_python_O(tmp_path):
     assert (plain_flag, optimized_flag) == (0, 1)
     assert all(code == 0 and out for code, out in plain)
     assert optimized == plain
+
+
+def _cli_env():
+    """The environment of a fresh ``python -m impactz.cli`` process: this
+    impactz on its path, and no PYTHONOPTIMIZE."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    return env
+
+
+def test_compute_prints_the_same_for_padded_signed_and_zero_led_numbers(
+        tmp_path):
+    # the workflow step of that name: the same counts written plainly and
+    # with padding, signs and leading zeros, each call a fresh process
+    forms = {
+        "plain": ("journal,year,pubs\nJ,2008,7\nJ,2009,1000\nK,2008,30\n"
+                  "K,2009,5\n",
+                  "journal,citing_year,cited_year,count\nJ,2010,2009,1000\n"
+                  "J,2010,2008,7\nJ,2009,2008,12\nK,2010,2008,60\n"
+                  "K,2010,2009,5\nK,2009,2008,3\n"),
+        "odd": ("journal,year,pubs\nJ, 2008,+7\nJ,+2009,1000\nK,02008,030\n"
+                "K,2009 ,005\n",
+                "journal,citing_year,cited_year,count\nJ, 2010,+2009,1000\n"
+                "J,2010,02008,007\nJ,2009, 2008,+12\nK,+2010, 2008,060\n"
+                "K,2010,2009,+5\nK,02009,2008, 003\n"),
+    }
+    for form, (pubs, cits) in forms.items():
+        (tmp_path / f"{form}-pubs.csv").write_text(pubs)
+        (tmp_path / f"{form}-cits.csv").write_text(cits)
+    for kind, year in (("sync-roa", "2010"), ("sync-aor", "2010"),
+                       ("diachronous", "2008")):
+        printed = []
+        for form in forms:
+            proc = subprocess.run(
+                [sys.executable, "-m", "impactz.cli", "compute", "--kind",
+                 kind, "--year", year, "-n", "2",
+                 "--pubs", str(tmp_path / f"{form}-pubs.csv"),
+                 "--cits", str(tmp_path / f"{form}-cits.csv")],
+                capture_output=True, text=True, env=_cli_env(), timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, ""), kind
+            printed.append(proc.stdout)
+        plain, odd = printed
+        assert plain and odd == plain, kind
+
+
+def test_sensitivity_at_the_widest_window_prints_the_same_under_python_O(
+        tmp_path):
+    # the workflow step "sensitivity at -n 100 on 100 journals": 99 pairs
+    # by 100 years, printed alike by a plain and an optimized interpreter
+    rng = random.Random(100)
+    pubs, cits = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+    with open(pubs, "w") as pubs_fh, open(cits, "w") as cits_fh:
+        pubs_fh.write("journal,year,pubs\n")
+        cits_fh.write("journal,citing_year,cited_year,count\n")
+        for j in range(100):
+            for year in range(1900, 2000):
+                pubs_fh.write(f"J{j:03},{year},{rng.randint(1, 50)}\n")
+                cits_fh.write(f"J{j:03},2000,{year},{rng.randint(0, 100)}\n")
+    for kind in ("sync-roa", "sync-aor"):
+        printed = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "impactz.cli", "sensitivity",
+                 "--pubs", str(pubs), "--cits", str(cits), "--kind", kind,
+                 "-n", "100", "--year", "2000", "--k-max", "100"],
+                capture_output=True, text=True, env=_cli_env(), timeout=30)
+            assert (proc.returncode, proc.stderr) == (0, ""), kind
+            printed.append(proc.stdout)
+        plain, optimized = printed
+        assert len(plain.splitlines()) == 9900, kind
+        assert optimized == plain, kind
 
 
 # --- exit-code fuzz -----------------------------------------------------------

@@ -961,8 +961,10 @@ def test_rank_matches_definition_oracle():
         # and sensitivity pairs the neighbours across each run's edge
         groups, group_skipped = corpus_module._groups(corpus, ROA2)
         runs = [list(run) for _, run in groupby(entries, key=lambda e: e[1])]
-        assert groups == [(run[0][2], run[0][1], tuple(j for j, *_ in run))
-                          for run in runs]
+        # each group's value is the reduced (num, den) pair
+        assert groups == [(run[0][2], (run[0][1].numerator,
+                                       run[0][1].denominator),
+                           tuple(j for j, *_ in run)) for run in runs]
         assert [j for j, _ in group_skipped] == skipped
         assert [(row.upper_id, row.lower_id)
                 for row in sensitivity_report(corpus, ROA2, 1)] == [

@@ -1,9 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from impactz.ratio import Ratio, format_exact, to_decimal
+from impactz.ratio import Ratio, _decimal_text, format_exact, to_decimal
 
 
 def test_canonical_reduction():
@@ -51,12 +52,18 @@ def test_to_decimal_rejects_negative_places():
 
 @given(num=st.integers(0, 10**6), den=st.integers(1, 10**6),
        places=st.integers(0, 8))
+@example(num=10**4301 // 3, den=7, places=3)  # past the int-to-str limit
 def test_to_decimal_matches_fraction_rounding(num, den, places):
     # independent oracle: shift, add half, floor
     scaled = Fraction(num, den) * 10**places + Fraction(1, 2)
     expected_digits = scaled.numerator // scaled.denominator
-    got = to_decimal(Ratio(num, den), places)
-    assert int(got.replace(".", "")) == expected_digits
+    # the public Ratio form and the integer form, unreduced too
+    for got in (to_decimal(Ratio(num, den), places),
+                _decimal_text(num, den, places),
+                _decimal_text(2 * num, 2 * den, places)):
+        # Decimal reads and converts digits of any length exactly
+        assert Decimal(got.replace(".", "")) == Decimal(expected_digits)
+        assert "." not in got if places == 0 else got[-places - 1] == "."
 
 
 def test_format_exact_always_shows_denominator():
