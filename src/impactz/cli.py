@@ -168,7 +168,8 @@ def _cmd_mine(args, out) -> int:
 
 def _mine_rows(witnesses, fmt: str):
     """One TSV line, or JSON row dict, per ``(left, right, injection,
-    verdict)`` of :func:`consistency._witnesses`.  Each journal's pubs and
+    verdict)`` of :func:`consistency._witnesses`, the miner generator,
+    each verified there as it is taken.  Each journal's pubs and
     cits columns are formatted once per ``JournalData`` object, which the
     miner shares across every pair of its box that holds that vector; the
     TSV prefix and JSON dict of those four columns, and "before", once

@@ -32,7 +32,7 @@ from .core import (
     denominator_years,
     window,
 )
-from .ratio import Ratio
+from .ratio import Ratio, _long_str
 
 
 class PreconditionViolated(ValueError):
@@ -270,8 +270,9 @@ def min_reversal_k(left: JournalData, right: JournalData,
         raise ValidationError(fault)
     if target_year not in denominator_years(spec):
         raise InvalidTargetYear(
-            f"year {target_year} is not a denominator year for "
-            f"{spec.kind.value} n={spec.n} at {spec.target_year}")
+            f"year {_long_str(target_year)} is not a denominator year for "
+            f"{spec.kind.value} n={_long_str(spec.n)} at "
+            f"{_long_str(spec.target_year)}")
     k = _thresholds(left, right, spec)[target_year]
     return k if k is not None and k <= k_max else None
 
@@ -295,8 +296,8 @@ def equal_pubs_preserved(left: JournalData, right: JournalData,
     for year, p_l, p_r in zip(years, pubs_l, pubs_r):
         if p_l != p_r:
             raise PreconditionViolated(
-                f"publication vectors differ at year {year}: "
-                f"{p_l} vs {p_r}")
+                f"publication vectors differ at year {_long_str(year)}: "
+                f"{_long_str(p_l)} vs {_long_str(p_r)}")
     verdict = check_z_consistency(
         PairScenario(left, right, spec, injection))
     if verdict.tag is VerdictTag.TIE_BEFORE:
@@ -327,37 +328,11 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
     """Exhaustively enumerate integer publication/citation assignments
     within ``bounds`` and yield every reversal witness, one at a time:
     each ``(left, right, injection, verdict)`` of :func:`_witnesses`,
-    verified there, as a ``ReversalWitness`` of its ``PairScenario``."""
+    the one miner generator, which lists, solves and verifies it, as a
+    ``ReversalWitness`` of its ``PairScenario``."""
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     for left, right, inj, verdict in _witnesses(kind, bounds, equal_pubs):
         yield ReversalWitness(PairScenario(left, right, spec, inj), verdict)
-
-
-def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
-               ) -> Iterator[tuple]:
-    """Every reversal witness of the box as a ``(left, right, injection,
-    verdict)`` tuple, not a record, in canonical order: lexicographic over
-    (left pubs, left cits, right pubs, right cits, injection year, k),
-    vectors by ascending year; each pair once, oriented left < right.
-
-    :func:`_iter_scenarios` lists the candidates.  Each is re-verified by
-    one call to the box's :func:`_verifier`, the one verifier behind
-    :func:`check_z_consistency`, which evaluates each journal's "before"
-    and each (journal, injection) "after" once per box; a tag other than
-    REVERSED raises AssertionError, under ``python -O`` too.  A pair's
-    witnesses follow one another and share its two ``JournalData``
-    objects.
-    """
-    spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
-    verify = None
-    for left, right, injections in _iter_scenarios(kind, bounds, equal_pubs):
-        if verify is None:  # only now has the box passed its size check
-            verify = _verifier(spec)
-        for injection in injections:
-            verdict = verify(left, right, injection)
-            if verdict.tag is not VerdictTag.REVERSED:
-                raise AssertionError("miner candidate failed self-check")
-            yield left, right, injection, verdict
 
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
@@ -432,34 +407,41 @@ def _power_above(base: int, power: int, limit: int) -> bool:
                          >= limit.bit_length() or base ** power > limit)
 
 
-def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
-                    equal_pubs: bool
-                    ) -> Iterator[tuple[JournalData, JournalData,
-                                        Iterator[Injection]]]:
-    """The reversing scenarios of the box, in canonical order, as each
-    oriented pair once with its injections in (year, k) order; an
+def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
+               ) -> Iterator[tuple]:
+    """Every reversal witness of the box as a ``(left, right, injection,
+    verdict)`` tuple, not a record, in canonical order: lexicographic over
+    (left pubs, left cits, right pubs, right cits, injection year, k),
+    vectors by ascending year; each pair once, oriented left < right.  An
     ``equal_pubs`` that is not a ``bool``, or a box over
-    :data:`_MAX_VECTORS`, raises ValidationError before any is listed.
-    A pair's injections are a generator, built only as they are taken,
-    so taking one witness does not build a pair's k_max injections.
+    :data:`_MAX_VECTORS`, raises ValidationError before anything is built.
 
     One integer table serves every kind: each (pubs, cits) vector's
     :func:`_terms` over ``den``, the lcm of every divisor the box can
     produce.  Each oriented pair (left < right) and injection year then
     yields the k of the :func:`_reversing_ks` window, clipped to
-    ``k_max``, so no k is tried that does not reverse.
+    ``k_max``, so no k is tried that does not reverse.  Injections are
+    built only as they are taken, so taking one witness does not build a
+    pair's k_max injections.
 
     The table is built one publication vector at a time, on first use.
     As other_R >= 0, by :func:`_reversing_ks` a left whose other shares
     are all 0 needs p_L > p_R in some year, so it skips every right
     publication vector without one before any of its rows is read.
 
+    Each candidate is re-verified by one call to the box's
+    :func:`_verifier`, the one verifier behind
+    :func:`check_z_consistency`, built once after the checks; it
+    evaluates each journal's "before" and each (journal, injection)
+    "after" once per box.  A tag other than REVERSED raises
+    AssertionError, under ``python -O`` too.
+
     Each (side, pubs, cits) vector is one ``JournalData`` object for the
     whole box, and each (year, k) one ``Injection``, both immutable and
-    shared by every pair that holds them.  Like the table, these caches
-    fill on first use, so they grow with the box's vector count and at
-    most |years| * k_max injections, not with the number of witnesses
-    taken.
+    shared by every pair that holds them, so a pair's witnesses share its
+    two journals.  Like the table, these caches fill on first use, so
+    they grow with the box's vector count and at most |years| * k_max
+    injections, not with the number of witnesses taken.
     """
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     if type(equal_pubs) is not bool:
@@ -474,6 +456,7 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
             raise ValidationError(
                 f"the box holds more than {_MAX_VECTORS} {what} vectors, "
                 f"{formula} ** {power}")
+    verify = _verifier(spec)
     years, cells = window(spec)
     aor, k_max = kind is IndicatorKind.SYNC_AOR, bounds.k_max
     # sync-aor divides by one year's count, the other kinds by the total
@@ -508,7 +491,12 @@ def _iter_scenarios(kind: IndicatorKind, bounds: SearchBounds,
                             and ks[0] <= k_max]
                     if not runs:
                         continue
-                    yield (journal("L", lp, lc), journal("R", rp, rc),
-                           (single(inj_year, k)
-                            for inj_year, (lo, hi) in runs
-                            for k in range(lo, min(hi or k_max, k_max) + 1)))
+                    left, right = journal("L", lp, lc), journal("R", rp, rc)
+                    for year, (lo, hi) in runs:
+                        for k in range(lo, min(hi or k_max, k_max) + 1):
+                            injection = single(year, k)
+                            verdict = verify(left, right, injection)
+                            if verdict.tag is not VerdictTag.REVERSED:
+                                raise AssertionError(
+                                    "miner candidate failed self-check")
+                            yield left, right, injection, verdict

@@ -50,18 +50,24 @@ def _integer_fault(value, what: str) -> str | None:
 def _positive_fault(value, what: str) -> str | None:
     """A bound or count is an ``int`` (:func:`_integer_fault`) >= 1."""
     return _integer_fault(value, what) or (
-        f"{what} must be >= 1, got {value}" if value < 1 else None)
+        f"{what} must be >= 1, got {_long_str(value)}" if value < 1 else None)
 
 
 def _sign_fault(count: int, what: str) -> str | None:
     """A ``what`` ("publication" or "citation") count is not negative."""
-    return f"negative {what} count {count}" if count < 0 else None
+    return f"negative {what} count {_long_str(count)}" if count < 0 else None
 
 
 def _direction_fault(citing: Year, cited: Year) -> str | None:
     """Citations do not flow backwards in time; the same year is allowed."""
-    return (f"citing year {citing} precedes cited year {cited}"
-            if citing < cited else None)
+    return (f"citing year {_long_str(citing)} precedes cited year "
+            f"{_long_str(cited)}" if citing < cited else None)
+
+
+def _key_text(value) -> str:
+    """``repr(value)`` in a message, through :func:`_long_str` for an
+    ``int`` (equal to its repr, but also past the digit limit)."""
+    return _long_str(value) if type(value) is int else repr(value)
 
 
 class Record:
@@ -126,7 +132,8 @@ class JournalData(Record):
                          or _integer_fault(count, "count")
                          or _sign_fault(count, "publication")):
                 raise ValidationError(
-                    f"journal {journal_id!r}, pubs[{year!r}]: {fault}")
+                    f"journal {journal_id!r}, pubs[{_key_text(year)}]: "
+                    f"{fault}")
         for (citing, cited), count in cits.items():
             if fault := (_integer_fault(citing, "citing year")
                          or _integer_fault(cited, "cited year")
@@ -134,8 +141,8 @@ class JournalData(Record):
                          or _sign_fault(count, "citation")
                          or _direction_fault(citing, cited)):
                 raise ValidationError(
-                    f"journal {journal_id!r}, "
-                    f"cits[{(citing, cited)!r}]: {fault}")
+                    f"journal {journal_id!r}, cits[({_key_text(citing)}, "
+                    f"{_key_text(cited)})]: {fault}")
         self._store(journal_id,
                     {year: count for year, count in pubs.items() if count},
                     {cell: count for cell, count in cits.items() if count})
@@ -197,7 +204,7 @@ class IndicatorSpec(Record):
                      or _integer_fault(s, "s")):
             raise ValidationError(fault)
         if s not in (0, 1):
-            raise ValidationError(f"s must be 0 or 1, got {s}")
+            raise ValidationError(f"s must be 0 or 1, got {_long_str(s)}")
         fields = self.__dict__
         fields["kind"] = kind
         fields["n"] = n
@@ -219,7 +226,8 @@ class Injection(Record):
         for year, k in additions:
             if fault := (_integer_fault(year, "year")
                          or _positive_fault(k, "count")):
-                raise ValidationError(f"injection {(year, k)!r}: {fault}")
+                raise ValidationError(f"injection ({_key_text(year)}, "
+                                      f"{_key_text(k)}): {fault}")
         self.__dict__["additions"] = additions
 
     @classmethod

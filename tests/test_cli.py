@@ -631,6 +631,18 @@ def _then(good: str, row: str) -> str:
     ("pubs", _then(_GOOD_PUBS, " ,1999,5"), "line 4: empty journal id"),
     ("cits", _then(_GOOD_CITS, '"K\tL",2000,1999,5'),
      "line 4: journal id 'K\\tL' holds a tab or line break"),
+    # a zero citation row and a later row for its cell are a duplicate
+    ("cits", "journal,citing_year,cited_year,count\nJ,2000,1999,0\n"
+     "J,2000,1999,5\n", "line 3: duplicate citation row for (J, 2000, 1999)"),
+    # a padded journal id and a respelled year are one key
+    ("cits", "journal,citing_year,cited_year,count\nJ,2000,1999,5\n"
+     " J,+2000,1999,3\n", "line 3: duplicate citation row for (J, 2000, 1999)"),
+    # an overlong field after a quoted line break names its record
+    pytest.param(
+        "pubs",
+        'journal,year,pubs\nJ,1999,"1\n"\nK,1999,' + "1" * 131073 + "\n",
+        "line 3: field larger than field limit (131072)",
+        id="pubs-overlong-field-after-quoted-line-break"),
 ])
 def test_bad_row_error_line_is_pinned(tmp_path, capsys, which, text,
                                       message):

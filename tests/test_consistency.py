@@ -36,7 +36,6 @@ from impactz import (
 )
 from impactz import consistency
 from impactz.consistency import (
-    _iter_scenarios,
     _reversal_window,
     _thresholds,
     _verifier,
@@ -482,18 +481,17 @@ def test_miner_builds_each_vector_once(monkeypatch, kind, pub_max, cit_max,
                           k_max=k_max, target_year=Y)
     # the dicts hold every object, so no id is reused while they are read
     by_vector, by_addition = {}, {}
-    pairs = 0
-    for left, right, injections in _iter_scenarios(IndicatorKind(kind),
-                                                   bounds, False):
-        pairs += 1
+    pairs = set()
+    for left, right, injection, _ in consistency._witnesses(
+            IndicatorKind(kind), bounds, False):
+        pairs.add((id(left), id(right)))
         for data in (left, right):
             key = (data.journal_id, tuple(data.pubs.items()),
                    tuple(data.cits.items()))
             assert by_vector.setdefault(key, data) is data
-        for injection in injections:
-            assert by_addition.setdefault(injection.additions,
-                                          injection) is injection
-    assert len(calls) == len(by_vector) == journals < 2 * pairs
+        assert by_addition.setdefault(injection.additions,
+                                      injection) is injection
+    assert len(calls) == len(by_vector) == journals < 2 * len(pairs)
     assert len(by_addition) <= 2 * k_max
 
 
@@ -511,8 +509,8 @@ def test_mined_journals_match_checked_construction(monkeypatch, kind):
 
     monkeypatch.setattr(consistency, "_journal", kept)
     bounds = SearchBounds(n=2, pub_max=3, cit_max=3, k_max=4, target_year=Y)
-    yielded = [data for *pair, _ in _iter_scenarios(IndicatorKind(kind),
-                                                     bounds, False)
+    yielded = [data for *pair, _, _ in consistency._witnesses(
+                   IndicatorKind(kind), bounds, False)
                for data in pair]
     # both lists hold their objects, so no id is reused
     assert {id(data) for data in yielded} <= {id(data) for _, data in built}
@@ -550,6 +548,38 @@ def test_miner_evaluates_each_value_once(monkeypatch, kind, pub_max, cit_max,
               for data in (w.scenario.left, w.scenario.right)}
     # one "before" per journal and one "after" per (journal, injection)
     assert len(calls) == len(journals) + len(afters) == evaluations
+
+
+@pytest.mark.parametrize("bounds, equal_pubs, witnesses, verifiers", [
+    # the exhausted sync-aor bench box: one verifier for every witness
+    (SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y),
+     False, 3804, 1),
+    # refused before anything is built: a box of 3 ** 12 citation
+    # vectors, or an equal_pubs that is not a bool
+    (SearchBounds(n=12, pub_max=1, cit_max=2, k_max=2, target_year=Y),
+     False, None, 0),
+    (SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y),
+     1, None, 0),
+], ids=["exhausted-box", "oversized-box", "equal-pubs-not-bool"])
+def test_miner_builds_one_verifier_per_box(monkeypatch, bounds, equal_pubs,
+                                           witnesses, verifiers):
+    calls = []
+    build = consistency._verifier
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(consistency, "_verifier", counted)
+    if witnesses is None:
+        with pytest.raises(ValidationError):
+            mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 10**6,
+                                 equal_pubs=equal_pubs)
+    else:
+        assert len(mine_counterexamples(IndicatorKind.SYNC_AOR, bounds,
+                                        10**6, equal_pubs=equal_pubs)) \
+            == witnesses
+    assert len(calls) == verifiers
 
 
 def test_verifier_holds_what_it_memoises():
@@ -748,11 +778,10 @@ try:
 
 
 @pytest.mark.parametrize("fault", [
-    # the miner yields a scenario that does not reverse
-    "consistency._iter_scenarios = lambda kind, bounds, equal_pubs: iter("
-    "[(K, J, [Injection.single(1999, 1)])])\n"
+    # the miner takes every pair-year for one that reverses at k = 1
+    "consistency._reversing_ks = lambda den, left, right: (1, 1)\n"
     "next(consistency.iter_counterexamples(IndicatorKind.SYNC_ROA, "
-    "SearchBounds(2, 1, 1, 1)))",
+    "SearchBounds(2, 2, 2, 1)))",
     # equal publication vectors come out reversed
     "consistency.check_z_consistency = lambda scenario: "
     "SimpleNamespace(tag=VerdictTag.REVERSED)\n"

@@ -8,7 +8,9 @@ from impactz import (
     IndicatorKind,
     IndicatorSpec,
     Injection,
+    InvalidTargetYear,
     JournalData,
+    PreconditionViolated,
     Ratio,
     SearchBounds,
     ValidationError,
@@ -18,6 +20,7 @@ from impactz import (
     compute,
     denominator_years,
     diachronous_imp,
+    equal_pubs_preserved,
     mine_counterexamples,
     min_reversal_k,
     pub_count,
@@ -267,6 +270,57 @@ def test_spec_and_bounds_integer_rule(args, message):
     cls, *values = args
     with pytest.raises(ValidationError) as exc_info:
         cls(*values)
+    assert str(exc_info.value) == message
+
+
+_BIG = 10**4301  # past CPython's 4300-digit int-to-str limit
+_DIGITS = "1" + "0" * 4301
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((JournalData, "J", {_BIG: -1}), ValidationError,
+     f"journal 'J', pubs[{_DIGITS}]: negative publication count -1"),
+    ((JournalData, "J", {}, {(_BIG, 5): -1}), ValidationError,
+     f"journal 'J', cits[({_DIGITS}, 5)]: negative citation count -1"),
+    ((JournalData, "J", {}, {(5, _BIG): 1}), ValidationError,
+     f"journal 'J', cits[(5, {_DIGITS})]: "
+     f"citing year 5 precedes cited year {_DIGITS}"),
+    ((JournalData, "J", {Y: -_BIG}), ValidationError,
+     f"journal 'J', pubs[{Y}]: negative publication count -{_DIGITS}"),
+    ((Injection, [(_BIG, 0)]), ValidationError,
+     f"injection ({_DIGITS}, 0): count must be >= 1, got 0"),
+    ((Injection, [(1, -_BIG)]), ValidationError,
+     f"injection (1, -{_DIGITS}): count must be >= 1, got -{_DIGITS}"),
+    ((IndicatorSpec, _ROA, -_BIG, Y), ValidationError,
+     f"window length must be >= 1, got -{_DIGITS}"),
+    ((IndicatorSpec, _DIA, 2, Y, _BIG), ValidationError,
+     f"s must be 0 or 1, got {_DIGITS}"),
+    ((SearchBounds, 2, -_BIG, 2, 2), ValidationError,
+     f"pub_max must be >= 1, got -{_DIGITS}"),
+    ((min_reversal_k, _J, _K, IndicatorSpec(_ROA, 2, Y), _BIG, 5),
+     InvalidTargetYear,
+     f"year {_DIGITS} is not a denominator year for sync-roa n=2 at {Y}"),
+    ((min_reversal_k, _J, _K, IndicatorSpec(_ROA, 2, Y), Y - 1, -_BIG),
+     ValidationError, f"k_max must be >= 1, got -{_DIGITS}"),
+    ((sensitivity_report, Corpus({"J": _J}), IndicatorSpec(_ROA, 2, Y), -_BIG),
+     ValidationError, f"k_max must be >= 1, got -{_DIGITS}"),
+    ((mine_counterexamples, IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 3, 3),
+      -_BIG), ValidationError, f"limit must be >= 1, got -{_DIGITS}"),
+    ((equal_pubs_preserved, _J, JournalData("K", {Y - 2: 2, Y - 1: _BIG}),
+      IndicatorSpec(_ROA, 2, Y), Injection.single(Y - 1, 1)),
+     PreconditionViolated,
+     f"publication vectors differ at year {Y - 1}: 2 vs {_DIGITS}"),
+], ids=["pubs-year", "cits-citing", "cits-cited", "pubs-count",
+        "injection-year", "injection-count", "spec-n", "spec-s",
+        "bounds-pub_max", "target-year", "min_reversal_k-k_max",
+        "sensitivity-k_max", "mine-limit", "equal-pubs"])
+def test_messages_print_ints_past_the_digit_limit(args, error, message):
+    # str() refuses these ints with a bare ValueError; each message
+    # prints every digit, and keeps its own error class
+    call, *values = args
+    with pytest.raises(error) as exc_info:
+        call(*values)
+    assert type(exc_info.value) is error
     assert str(exc_info.value) == message
 
 
