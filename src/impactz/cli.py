@@ -17,9 +17,10 @@ from functools import cache, partial
 from itertools import islice
 
 from .consistency import SearchBounds, _witnesses
-from .core import IndicatorKind, IndicatorSpec
+from .core import _MAX_WINDOW, IndicatorKind, IndicatorSpec
 from .corpus import _groups, _sensitivity_rows, _values, load_corpus
-from .ratio import _decimal_text, _fraction_text, _long_str, format_exact
+from .ratio import (_MAX_PLACES, _decimal_text, _fraction_text, _long_str,
+                    format_exact)
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
 
@@ -37,9 +38,7 @@ def _int_in_range(low: int, high: int | None = None):
 
 
 _positive = _int_in_range(1)
-_MAX_WINDOW = 100  # each of a sensitivity pair's n checks reads all n years
 _window = _int_in_range(1, _MAX_WINDOW)
-_MAX_PLACES = 1000  # bounds the digits that each printed value can take
 _places = _int_in_range(0, _MAX_PLACES)
 
 

@@ -271,7 +271,7 @@ def min_reversal_k(left: JournalData, right: JournalData,
     if target_year not in denominator_years(spec):
         raise InvalidTargetYear(
             f"year {_long_str(target_year)} is not a denominator year for "
-            f"{spec.kind.value} n={_long_str(spec.n)} at "
+            f"{spec.kind.value} n={spec.n} at "
             f"{_long_str(spec.target_year)}")
     k = _thresholds(left, right, spec)[target_year]
     return k if k is not None and k <= k_max else None
@@ -398,15 +398,6 @@ def _reversing_ks(den: int, left_term: tuple[int, int, int],
 _MAX_VECTORS = 10**5
 
 
-def _power_above(base: int, power: int, limit: int) -> bool:
-    """Whether ``base ** power > limit``, for ``base, limit >= 1``,
-    decided without building a power above ``limit ** 2``: as ``base >=
-    2 ** (base.bit_length() - 1)`` and ``limit < 2 **
-    limit.bit_length()``, the bit lengths settle every large power."""
-    return base > 1 and (power * (base.bit_length() - 1)
-                         >= limit.bit_length() or base ** power > limit)
-
-
 def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
                ) -> Iterator[tuple]:
     """Every reversal witness of the box as a ``(left, right, injection,
@@ -446,18 +437,16 @@ def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
     if type(equal_pubs) is not bool:
         raise ValidationError(f"equal_pubs must be a bool, got {equal_pubs!r}")
-    # the sizes of window(spec), known before it is built: n cells, and
-    # n denominator years for the synchronous kinds, one for diachronous
-    n_years = 1 if kind is IndicatorKind.DIACHRONOUS else bounds.n
+    years, cells = window(spec)
     for what, base, formula, power in (
-            ("publication", bounds.pub_max, "pub_max", n_years),
-            ("citation", bounds.cit_max + 1, "(cit_max + 1)", bounds.n)):
-        if _power_above(base, power, _MAX_VECTORS):
+            ("publication", bounds.pub_max, "pub_max", len(years)),
+            ("citation", bounds.cit_max + 1, "(cit_max + 1)", len(cells))):
+        # n <= 100 (IndicatorSpec), so the clipped power stays small
+        if min(base, _MAX_VECTORS + 1) ** power > _MAX_VECTORS:
             raise ValidationError(
                 f"the box holds more than {_MAX_VECTORS} {what} vectors, "
                 f"{formula} ** {power}")
     verify = _verifier(spec)
-    years, cells = window(spec)
     aor, k_max = kind is IndicatorKind.SYNC_AOR, bounds.k_max
     # sync-aor divides by one year's count, the other kinds by the total
     den = lcm(*range(1, bounds.pub_max * (1 if aor else len(years)) + 1))

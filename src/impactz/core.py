@@ -20,6 +20,9 @@ from types import MappingProxyType
 from .ratio import Ratio, _long_str
 
 Year = int
+# the paper reads 2- to 5-year windows; window() builds up to n years
+# and n cells, and each of a sensitivity pair's n checks reads them all
+_MAX_WINDOW = 100
 
 
 class ZeroDenominator(ValueError):
@@ -185,11 +188,11 @@ class IndicatorKind(Enum):
 
 
 class IndicatorSpec(Record):
-    """Which indicator to compute: kind, window length n, target year.
+    """Which indicator to compute: kind, window length n (1..100), target year.
 
     ``s`` selects whether the diachronous window includes the publication
     year (s=0) or starts the year after (s=1); it is normalized to 0 for
-    the synchronous kinds.
+    the synchronous kinds.  A field out of range is a ValidationError.
     """
 
     __match_args__ = ("kind", "n", "target_year", "s")
@@ -200,6 +203,8 @@ class IndicatorSpec(Record):
             raise ValidationError(
                 f"kind must be an IndicatorKind, got {kind!r}")
         if fault := (_positive_fault(n, "window length")
+                     or (f"window length must be <= {_MAX_WINDOW}, got "
+                         f"{_long_str(n)}" if n > _MAX_WINDOW else None)
                      or _integer_fault(target_year, "target year")
                      or _integer_fault(s, "s")):
             raise ValidationError(fault)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_MAX_PLACES = 1000  # bounds the digits, and so the work, of each value
+
 
 class Ratio(Fraction):
     """A canonical reduced fraction, numerator >= 0 and denominator > 0.
@@ -19,11 +21,13 @@ class Ratio(Fraction):
     def __new__(cls, numerator=0, denominator=None):
         self = super().__new__(cls, numerator, denominator)
         if self.numerator < 0:
-            raise ValueError(f"Ratio must be non-negative, got {self}")
+            raise ValueError("Ratio must be non-negative, got "  # as str(self)
+                             + format_exact(self).removesuffix("/1"))
         return self
 
     def __repr__(self) -> str:
-        return f"Ratio({self.numerator}, {self.denominator})"
+        return (f"Ratio({_long_str(self.numerator)}, "
+                f"{_long_str(self.denominator)})")
 
 
 def _long_str(n: int | str) -> str:
@@ -66,7 +70,9 @@ def to_decimal(r: Fraction, places: int = 2) -> str:
     """Fixed-point decimal string, rounded half-up.
 
     Half-up (not banker's) rounding: 17/8 at two places is "2.13".
+    ``places`` is an ``int`` from 0 to :data:`_MAX_PLACES` (1000); any
+    other value, a ``bool`` or a ``float`` too, is a ``ValueError``.
     """
-    if places < 0:
-        raise ValueError("places must be >= 0")
+    if type(places) is not int or not 0 <= places <= _MAX_PLACES:
+        raise ValueError(f"places must be an int from 0 to {_MAX_PLACES}")
     return _decimal_text(r.numerator, r.denominator, places)

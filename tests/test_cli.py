@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
@@ -940,16 +941,20 @@ def test_mine_limit_one_with_a_huge_k_max_prints_one_row():
     assert len(proc.stdout.splitlines()) == 1
 
 
-@pytest.mark.parametrize("kind, n, pub_max, cit_max, what", [
+@pytest.mark.parametrize("kind, n, pub_max, cit_max, message", [
     # bounds the CLI cannot reach: neither the power nor the window is built
     ("diachronous", "1000", "1", "10**100000",
-     "citation vectors, (cit_max + 1) ** 1000"),
-    ("sync-roa", "3", "10**100000", "1", "publication vectors, pub_max ** 3"),
+     "window length must be <= 100, got 1000"),
+    ("sync-roa", "3", "10**100000", "1",
+     "the box holds more than 100000 publication vectors, pub_max ** 3"),
     ("sync-aor", "10**9", "1", "1",
-     "citation vectors, (cit_max + 1) ** 1000000000"),
+     "window length must be <= 100, got 1000000000"),
+    # the longest window: 2 ** 100 citation vectors
+    ("diachronous", "100", "1", "1",
+     "the box holds more than 100000 citation vectors, (cit_max + 1) ** 100"),
 ])
 def test_oversized_mine_box_is_refused_through_the_api(kind, n, pub_max,
-                                                       cit_max, what):
+                                                       cit_max, message):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
     script = (
@@ -964,7 +969,29 @@ def test_oversized_mine_box_is_refused_through_the_api(kind, n, pub_max,
                           capture_output=True, text=True, env=env,
                           timeout=60, preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == f"the box holds more than 100000 {what}\n"
+    assert proc.stdout == message + "\n"
+
+
+def test_overlong_window_is_refused_under_a_memory_cap():
+    # window() would build 10**9 years and cells: 1 GiB of address space
+    # fails at once, and a run that began to build them would time out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    script = (
+        "from impactz.core import (IndicatorKind, IndicatorSpec, JournalData,\n"
+        "                          ValidationError, compute)\n"
+        "try:\n"
+        "    compute(JournalData('J', {1999: 1}),\n"
+        "            IndicatorSpec(IndicatorKind.SYNC_ROA, 10**9, 2000))\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=10, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "window length must be <= 100, got 1000000000\n"
+    assert time.perf_counter() - start < 5  # interpreter start-up included
 
 
 @pytest.mark.parametrize("command, lines", [("rank", 20_000),

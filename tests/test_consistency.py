@@ -595,14 +595,29 @@ def test_verifier_holds_what_it_memoises():
         del scenario
 
 
-def test_power_above_is_exact():
-    for base, power, limit in product(range(1, 41), range(41),
-                                      (1, 2, 10**5)):
-        assert consistency._power_above(base, power, limit) \
-            == (base ** power > limit), (base, power, limit)
-    # decided by bit lengths, with no power built
-    assert consistency._power_above(2, 10**9, 10**5)
-    assert consistency._power_above(10**50, 3, 10**5)
+@pytest.mark.parametrize("kind, bounds, message", [
+    # exactly _MAX_VECTORS vectors of each side are mined
+    (IndicatorKind.SYNC_AOR, SearchBounds(5, 10, 1, 1), None),
+    (IndicatorKind.DIACHRONOUS, SearchBounds(1, 1, 10**5 - 1, 1), None),
+    # one more is refused
+    (IndicatorKind.DIACHRONOUS, SearchBounds(1, 10**5 + 1, 1, 1),
+     "publication vectors, pub_max ** 1"),
+    (IndicatorKind.DIACHRONOUS, SearchBounds(1, 1, 10**5, 1),
+     "citation vectors, (cit_max + 1) ** 1"),
+    # a huge base is clipped before its power is taken
+    (IndicatorKind.SYNC_ROA, SearchBounds(3, 10**100000, 1, 1),
+     "publication vectors, pub_max ** 3"),
+], ids=["pubs-at-limit", "cits-at-limit", "pubs-over", "cits-over",
+        "huge-base"])
+def test_box_size_boundary(kind, bounds, message):
+    witnesses = consistency.iter_counterexamples(kind, bounds)
+    if message is None:
+        next(witnesses, None)
+    else:
+        with pytest.raises(ValidationError) as exc_info:
+            next(witnesses)
+        assert str(exc_info.value) \
+            == f"the box holds more than {consistency._MAX_VECTORS} {message}"
 
 
 def test_first_witness_builds_few_injections(monkeypatch):

@@ -28,6 +28,7 @@ from impactz import (
     sync_if_aor,
     sync_if_roa,
 )
+from impactz.core import window
 
 from conftest import Y
 
@@ -205,6 +206,16 @@ def test_spec_validation():
         IndicatorSpec(IndicatorKind.DIACHRONOUS, 2, Y, 2)
 
 
+def test_spec_takes_the_longest_window():
+    data = JournalData("J", {y: 1 for y in range(Y - 100, Y)}, {(Y, Y - 1): 5})
+    for kind in IndicatorKind:
+        spec = IndicatorSpec(kind, 100, Y)
+        assert spec.n == 100
+        assert len(window(spec)[1]) == 100
+    assert compute(data, IndicatorSpec(IndicatorKind.SYNC_ROA, 100, Y)) \
+        == Ratio(5, 100)
+
+
 _ROA, _DIA = IndicatorKind.SYNC_ROA, IndicatorKind.DIACHRONOUS
 _J = JournalData("J", {Y - 1: 2, Y - 2: 2}, {(Y, Y - 1): 1})
 _K = JournalData("K", {Y - 1: 1, Y - 2: 1}, {(Y, Y - 1): 3})
@@ -231,6 +242,7 @@ _K = JournalData("K", {Y - 1: 1, Y - 2: 1}, {(Y, Y - 1): 3})
     ((SearchBounds, 2, 2, 2, 2, Y, False), "s must be an integer, got False"),
     # the range rules keep their messages
     ((IndicatorSpec, _ROA, 0, Y), "window length must be >= 1, got 0"),
+    ((IndicatorSpec, _ROA, 101, Y), "window length must be <= 100, got 101"),
     ((IndicatorSpec, _DIA, 2, Y, 2), "s must be 0 or 1, got 2"),
     ((SearchBounds, 2, 2, 0, 2), "cit_max must be >= 1, got 0"),
     ((SearchBounds, 0, 2, 2, 2), "n must be >= 1, got 0"),
@@ -293,6 +305,8 @@ _DIGITS = "1" + "0" * 4301
      f"injection (1, -{_DIGITS}): count must be >= 1, got -{_DIGITS}"),
     ((IndicatorSpec, _ROA, -_BIG, Y), ValidationError,
      f"window length must be >= 1, got -{_DIGITS}"),
+    ((IndicatorSpec, _ROA, _BIG, Y), ValidationError,
+     f"window length must be <= 100, got {_DIGITS}"),
     ((IndicatorSpec, _DIA, 2, Y, _BIG), ValidationError,
      f"s must be 0 or 1, got {_DIGITS}"),
     ((SearchBounds, 2, -_BIG, 2, 2), ValidationError,
@@ -311,7 +325,7 @@ _DIGITS = "1" + "0" * 4301
      PreconditionViolated,
      f"publication vectors differ at year {Y - 1}: 2 vs {_DIGITS}"),
 ], ids=["pubs-year", "cits-citing", "cits-cited", "pubs-count",
-        "injection-year", "injection-count", "spec-n", "spec-s",
+        "injection-year", "injection-count", "spec-n", "spec-n-over", "spec-s",
         "bounds-pub_max", "target-year", "min_reversal_k-k_max",
         "sensitivity-k_max", "mine-limit", "equal-pubs"])
 def test_messages_print_ints_past_the_digit_limit(args, error, message):

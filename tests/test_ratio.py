@@ -50,6 +50,31 @@ def test_to_decimal_rejects_negative_places():
         to_decimal(Ratio(1, 2), -1)
 
 
+def test_to_decimal_places_bound_is_inclusive():
+    assert to_decimal(Ratio(2, 3), 0) == "1"
+    assert to_decimal(Ratio(2, 3), 1000) == "0." + "6" * 999 + "7"
+    for places in (-1, 1001, 10**5000, True, False, 2.0, "2", None):
+        with pytest.raises(ValueError) as exc_info:
+            to_decimal(Ratio(1, 3), places)
+        assert str(exc_info.value) == "places must be an int from 0 to 1000"
+
+
+_BIG = 10**4301  # past CPython's 4300-digit int-to-str limit
+
+
+def test_ratio_text_past_the_digit_limit():
+    digits = "1" + "0" * 4301
+    assert repr(Ratio(_BIG)) == f"Ratio({digits}, 1)"
+    assert repr(Ratio(1, _BIG)) == f"Ratio(1, {digits})"
+    assert repr(Ratio(17, 8)) == "Ratio(17, 8)"
+    for value, text in ((-_BIG, f"-{digits}"), (Fraction(-1, _BIG),
+                                                 f"-1/{digits}"),
+                        (-3, "-3"), (Fraction(-3, 4), "-3/4")):
+        with pytest.raises(ValueError) as exc_info:
+            Ratio(value)
+        assert str(exc_info.value) == f"Ratio must be non-negative, got {text}"
+
+
 @given(num=st.integers(0, 10**6), den=st.integers(1, 10**6),
        places=st.integers(0, 8))
 @example(num=10**4301 // 3, den=7, places=3)  # past the int-to-str limit
