@@ -14,9 +14,8 @@ import argparse
 import os
 import sys
 from functools import cache, partial
-from itertools import islice
 
-from .consistency import SearchBounds, _witnesses
+from .consistency import SearchBounds, _first, _witnesses
 from .core import _MAX_WINDOW, IndicatorKind, IndicatorSpec
 from .corpus import _groups, _sensitivity_rows, _values, load_corpus
 from .ratio import (_MAX_PLACES, _decimal_text, _fraction_text, _long_str,
@@ -150,17 +149,17 @@ def _rank_table(corpus, spec, args):
 
 def _sensitivity_table(corpus, spec, args):
     rows, skipped = _sensitivity_rows(corpus, spec, args.k_max)
+    # each row's per_year_min_k is in window order: ascending years
     return ("upper", "lower", "year", "min_k"), (
-        (row.upper_id, row.lower_id, year,
-         "-" if (k := row.per_year_min_k[year]) is None else k)
-        for row in rows for year in sorted(row.per_year_min_k)), skipped
+        (row.upper_id, row.lower_id, year, "-" if k is None else k)
+        for row in rows for year, k in row.per_year_min_k.items()), skipped
 
 
 def _cmd_mine(args, out) -> int:
     bounds = SearchBounds(n=args.n, pub_max=args.pub_max,
                           cit_max=args.cit_max, k_max=args.k_max,
                           target_year=args.year, s=args.s)
-    _emit(_mine_rows(islice(_witnesses(_KINDS[args.kind], bounds, False),
+    _emit(_mine_rows(_first(_witnesses(_KINDS[args.kind], bounds, False),
                             args.limit), args.format), args.format, out)
     return 0
 

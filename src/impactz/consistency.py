@@ -10,6 +10,7 @@ fresh violations.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import cache
@@ -121,8 +122,8 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
 
     This is the one verifier, a fresh :func:`_verifier` for one
     scenario, so every call recomputes the verdict from raw data.  The
-    miner and the sensitivity check keep one :func:`_verifier` for a
-    whole box or report instead.
+    miner keeps one :func:`_verifier` for a whole box instead, and the
+    sensitivity check one for each pair.
     """
     return _verifier(scenario.spec)(scenario.left, scenario.right,
                                     scenario.injection)
@@ -147,8 +148,8 @@ def _verifier(spec: IndicatorSpec
 
     The memo is keyed by ``id(data)`` and holds ``data``, so no id is
     reused while the verifier lives; it never sees a change to a
-    journal's counts.  So a verifier serves one miner box or one
-    sensitivity report, whose journals nothing mutates.
+    journal's counts.  So a verifier serves one miner box, whose
+    journals nothing mutates, or one sensitivity pair.
     """
     years, cells = window(spec)
     # id(data) -> (data, pubs, cits, before, {additions: after})
@@ -318,8 +319,15 @@ def mine_counterexamples(kind: IndicatorKind, bounds: SearchBounds,
     """The first ``limit`` witnesses of :func:`iter_counterexamples`."""
     if fault := _positive_fault(limit, "limit"):
         raise ValidationError(fault)
-    return list(islice(iter_counterexamples(kind, bounds,
+    return list(_first(iter_counterexamples(kind, bounds,
                                             equal_pubs=equal_pubs), limit))
+
+
+def _first(witnesses: Iterator, limit: int) -> Iterator:
+    """The first ``limit`` of ``witnesses``, or all of them for a limit
+    past ``sys.maxsize``, which ``islice`` refuses: no run that ends
+    yields that many."""
+    return islice(witnesses, min(limit, sys.maxsize))
 
 
 def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,

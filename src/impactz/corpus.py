@@ -28,6 +28,7 @@ from .core import (
     ZeroDenominator,
     _direction_fault,
     _evaluate,
+    _key_text,
     _positive_fault,
     _sign_fault,
     _window_counts,
@@ -338,19 +339,37 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
 
 
 def corpus_to_json(corpus: Corpus) -> str:
-    """Canonical JSON: sorted keys, stable layout, byte-stable round-trip."""
+    """Canonical JSON: sorted keys, stable layout, byte-stable round-trip.
+
+    A year or count past the int-to-str digit limit, which ``json``
+    cannot write and :func:`corpus_from_json` would not read back, is a
+    ValidationError naming the first such journal and key."""
     import json
     doc = {"journals": {}}
     for journal_id in sorted(corpus.journals):
         data = corpus.journals[journal_id]
         doc["journals"][journal_id] = {
-            "pubs": {str(year): data.pubs[year]
-                     for year in sorted(data.pubs)},
+            # json writes each int key as str() does
+            "pubs": {year: data.pubs[year] for year in sorted(data.pubs)},
             "cits": [{"citing": citing, "cited": cited,
                       "count": data.cits[(citing, cited)]}
                      for citing, cited in sorted(data.cits)],
         }
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except ValueError:  # past the digit limit: name the first such key
+        for journal_id, data in sorted(corpus.journals.items()):
+            for key, count in (*sorted(data.pubs.items()),
+                               *sorted(data.cits.items())):
+                try:
+                    str((key, count))
+                except ValueError as exc:
+                    where = (f"pubs[{_key_text(key)}]" if type(key) is int
+                             else f"cits[({_key_text(key[0])}, "
+                                  f"{_key_text(key[1])})]")
+                    raise ValidationError(
+                        f"journal {journal_id!r}, {where}: {exc}") from None
+        raise
 
 
 class _JsonObject(dict):
@@ -496,17 +515,18 @@ def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, k_max: int
     :func:`_groups` group and the first of the next, and the skipped journals.
 
     Each pair's minima come from one :func:`_thresholds` call, checked by
-    one :func:`_verifier` for the whole report, so a journal's "before"
-    value is evaluated once however many pairs and years it takes part in;
-    nothing mutates the corpus's journals while the report runs."""
+    a :func:`_verifier` of that pair alone, so each journal's "before"
+    value is evaluated once per pair it takes part in, and what the
+    verifier holds is dropped with the pair: the report keeps no values
+    of the journals it has passed."""
     groups, skipped = _groups(corpus, spec)
-    verify = _verifier(spec)
     rows: list[SensitivityRow] = []
     for (_, _, upper), (_, _, lower) in zip(groups, groups[1:]):
         left = corpus.journals[upper[-1]]
         right = corpus.journals[lower[0]]
         per_year = {year: k if k is not None and k <= k_max else None
                     for year, k in _thresholds(left, right, spec).items()}
+        verify = _verifier(spec)
         for year, k in per_year.items():
             if k is not None:
                 # k reverses the pair and k - 1 does not

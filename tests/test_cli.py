@@ -866,21 +866,28 @@ def test_mine_memory_does_not_grow_with_limit(fmt):
     assert large - small < 1024 * 1024, (small, large)
 
 
-# --- closed stdout -------------------------------------------------------------
+# --- fresh processes ---------------------------------------------------------
+
+def _cli_env():
+    """The environment of a fresh ``python`` process: this impactz on its
+    path, and no PYTHONOPTIMIZE or PYTHONUNBUFFERED, so stdout is
+    block-buffered, as usual."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("PYTHONOPTIMIZE", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
+    return env
+
 
 def _run_with_closed_stdout(argv, lines_read):
     """Run the CLI in a fresh process whose stdout reader reads
     ``lines_read`` lines and then closes the pipe, as ``| head`` does."""
-    env = {name: value for name, value in os.environ.items()
-           if name != "PYTHONUNBUFFERED"}  # stdout block-buffered, as usual
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
     read_end, write_end = os.pipe()
     reader = open(read_end, "rb")
     if not lines_read:
         reader.close()  # before the process starts, so no write can land
     with subprocess.Popen([sys.executable, "-m", "impactz.cli", *argv],
                           stdout=write_end, stderr=subprocess.PIPE,
-                          env=env) as proc:
+                          env=_cli_env()) as proc:
         os.close(write_end)
         for _ in range(lines_read):
             reader.readline()
@@ -899,122 +906,167 @@ def test_closed_stdout_is_exit_one_and_silent(argv, lines_read):
     assert _run_with_closed_stdout(argv, lines_read) == (1, b"")
 
 
-# --- oversized mine box ----------------------------------------------------------
+# --- extremes: every capped run ----------------------------------------------
 
 def _cap_address_space():
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("kind, n, pub_max, cit_max, what", [
-    ("sync-roa", 100, 2, 2, "publication vectors, pub_max ** 100"),
-    ("sync-aor", 2, 2, 10**6, "citation vectors, (cit_max + 1) ** 2"),
-    ("diachronous", 1, 10**5 + 1, 1, "publication vectors, pub_max ** 1"),
-    # 400,000 digits: the message names the limit, never the count
-    ("diachronous", 100, 1, int("9" * 4000),
-     "citation vectors, (cit_max + 1) ** 100"),
-])
-def test_oversized_mine_box_is_refused(kind, n, pub_max, cit_max, what):
+@pytest.fixture(scope="module")
+def tied_corpus(tmp_path_factory):
+    """A directory holding pubs.csv and cits.csv: 20,000 journals, each
+    with one publication in Y - 1 and no citations, all tied at 0."""
+    path = tmp_path_factory.mktemp("tied")
+    (path / "pubs.csv").write_text("journal,year,pubs\n" + "".join(
+        f"J{i:05},{Y - 1},1\n" for i in range(20_000)))
+    (path / "cits.csv").write_text("journal,citing_year,cited_year,count\n")
+    return path
+
+
+_TIED = ["--pubs", "pubs.csv", "--cits", "cits.csv", "--kind", "sync-roa",
+         "-n", "2", "--year", str(Y)]
+# a strict sync-roa pair that reverses at k = 21 in either year
+_PAIR = ("from impactz import *\n"
+         "spec = IndicatorSpec(IndicatorKind.SYNC_ROA, 2, 2000)\n"
+         "L = JournalData('L', {1998: 10, 1999: 10}, {(2000, 1999): 30})\n"
+         "R = JournalData('R', {1998: 30, 1999: 30}, {(2000, 1998): 60})\n")
+
+# One entry point at an extreme input per row: its CLI argv, or a ``-c``
+# script as a str; its exit code; its stdout, or stdout's line count; its
+# stderr (at exit 2, the line after argparse's usage); and a timeout.  Each
+# run gets 1 GiB of address space, and must end within half its timeout,
+# so a bound that gave way fails fast.  Sizes whose row waits on an open
+# ROADMAP item: `sensitivity`'s time and row list on 10**5 distinct-valued
+# journals (item 3), the public rank() on 10**5 tied journals (item 4),
+# counts of a thousand digits and more (item 5), and mine's pairs visited
+# and its memory at a huge --k-max and --limit (item 6).
+_EXTREMES = [
     # a miner that began to list these boxes' vectors would run out of
-    # memory, so the run gets 1 GiB of address space and a time limit
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
-    argv = _mine_argv(kind, n, pub_max, cit_max, 2, 10, "tsv")
-    proc = subprocess.run([sys.executable, "-m", "impactz.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60, preexec_fn=_cap_address_space)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"error: the box holds more than 100000 {what}\n"
-
-
-def test_mine_limit_one_with_a_huge_k_max_prints_one_row():
-    # the first pair reverses in both years for every k from 2 to 10**7:
-    # a CLI path that listed its injections would run out of 1 GiB of
-    # address space or of time
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
-    argv = _mine_argv("sync-roa", 2, 2, 5, 10**7, 1, "tsv")
-    proc = subprocess.run([sys.executable, "-m", "impactz.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=20, preexec_fn=_cap_address_space)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert len(proc.stdout.splitlines()) == 1
-
-
-@pytest.mark.parametrize("kind, n, pub_max, cit_max, message", [
+    # memory; a count of 400,000 digits is named by the limit, never itself
+    *(pytest.param(_mine_argv(kind, n, pub_max, cit_max, 2, 10, "tsv"), 1,
+                   "", f"error: the box holds more than 100000 {what}\n", 60,
+                   id=f"mine-box-{kind}-n{n}")
+      for kind, n, pub_max, cit_max, what in [
+          ("sync-roa", 100, 2, 2, "publication vectors, pub_max ** 100"),
+          ("sync-aor", 2, 2, 10**6, "citation vectors, (cit_max + 1) ** 2"),
+          ("diachronous", 1, 10**5 + 1, 1,
+           "publication vectors, pub_max ** 1"),
+          ("diachronous", 100, 1, int("9" * 4000),
+           "citation vectors, (cit_max + 1) ** 100")]),
+    # the first pair reverses in both years for every k from 2 to 10**7
+    pytest.param(_mine_argv("sync-roa", 2, 2, 5, 10**7, 1, "tsv"), 0, 1, "",
+                 20, id="mine-limit-1-k-max-10**7"),
     # bounds the CLI cannot reach: neither the power nor the window is built
-    ("diachronous", "1000", "1", "10**100000",
-     "window length must be <= 100, got 1000"),
-    ("sync-roa", "3", "10**100000", "1",
-     "the box holds more than 100000 publication vectors, pub_max ** 3"),
-    ("sync-aor", "10**9", "1", "1",
-     "window length must be <= 100, got 1000000000"),
-    # the longest window: 2 ** 100 citation vectors
-    ("diachronous", "100", "1", "1",
-     "the box holds more than 100000 citation vectors, (cit_max + 1) ** 100"),
-])
-def test_oversized_mine_box_is_refused_through_the_api(kind, n, pub_max,
-                                                       cit_max, message):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
-    script = (
+    *(pytest.param(
         "from impactz.consistency import SearchBounds, iter_counterexamples\n"
         "from impactz.core import IndicatorKind, ValidationError\n"
         f"bounds = SearchBounds({n}, {pub_max}, {cit_max}, 2)\n"
         "try:\n"
         f"    next(iter_counterexamples(IndicatorKind({kind!r}), bounds))\n"
         "except ValidationError as exc:\n"
-        "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          timeout=60, preexec_fn=_cap_address_space)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == message + "\n"
-
-
-def test_overlong_window_is_refused_under_a_memory_cap():
-    # window() would build 10**9 years and cells: 1 GiB of address space
-    # fails at once, and a run that began to build them would time out
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
-    script = (
+        "    print(exc)\n", 0, message + "\n", "", 60,
+        id=f"api-box-{kind}-n{n}")
+      for kind, n, pub_max, cit_max, message in [
+          ("diachronous", "1000", "1", "10**100000",
+           "window length must be <= 100, got 1000"),
+          ("sync-roa", "3", "10**100000", "1",
+           "the box holds more than 100000 publication vectors, pub_max ** 3"),
+          ("sync-aor", "10**9", "1", "1",
+           "window length must be <= 100, got 1000000000"),
+          # the longest window: 2 ** 100 citation vectors
+          ("diachronous", "100", "1", "1", "the box holds more than 100000 "
+           "citation vectors, (cit_max + 1) ** 100")]),
+    # window() would build 10**9 years and cells
+    pytest.param(
         "from impactz.core import (IndicatorKind, IndicatorSpec, JournalData,\n"
         "                          ValidationError, compute)\n"
         "try:\n"
         "    compute(JournalData('J', {1999: 1}),\n"
         "            IndicatorSpec(IndicatorKind.SYNC_ROA, 10**9, 2000))\n"
         "except ValidationError as exc:\n"
-        "    print(exc)\n")
+        "    print(exc)\n", 0, "window length must be <= 100, got 1000000000\n",
+        "", 10, id="api-compute-n-10**9"),
+    # a tie list per journal would hold 4 * 10**8 ids
+    pytest.param(["rank", *_TIED], 0, "".join(
+        f"1\tJ{i:05}\t0/1\t0.00\n" for i in range(20_000)), "", 60,
+        id="rank-20000-tied"),
+    pytest.param(["sensitivity", *_TIED], 0, "", "", 60,
+                 id="sensitivity-20000-tied"),
+    # a limit past sys.maxsize takes every witness: this box holds 104
+    pytest.param(_mine_argv("sync-aor", 2, 2, 2, 2, 10**20, "tsv"), 0, 104,
+                 "", 20, id="mine-limit-10**20"),
+    pytest.param(
+        "from impactz import *\nprint(len(mine_counterexamples("
+        "IndicatorKind.SYNC_AOR, SearchBounds(2, 2, 2, 2), 10**20)))\n",
+        0, "104\n", "", 20, id="api-mine-limit-10**20"),
+    pytest.param(
+        "from impactz import *\nprint(len(mine_counterexamples("
+        "IndicatorKind.SYNC_ROA, SearchBounds(2, 2, 5, 10**100), 1)))\n",
+        0, "1\n", "", 20, id="api-mine-k-max-10**100"),
+    # a count or year past the int-to-str digit limit: JSON can neither
+    # write nor read it
+    *(pytest.param(
+        "from impactz import *\n"
+        "try:\n"
+        f"    corpus_to_json(Corpus({{'J': JournalData('J', {pubs})}}))\n"
+        "except ValidationError as exc:\n"
+        "    print(str(exc).partition(': ')[0])\n",
+        0, f"journal 'J', pubs[{year}]\n", "", 20,
+        id=f"api-corpus_to_json-{name}")
+      for name, pubs, year in [("count", "{1999: 10**5000}", 1999),
+                               ("year", "{10**5000: 1}", "1" + "0" * 5000)]),
+    pytest.param(
+        "from impactz import *\n"
+        "doc = '{\"journals\": {\"J\": {\"pubs\": {\"1999\": 1%s}, "
+        "\"cits\": []}}}' % ('0' * 5000)\n"
+        "try:\n"
+        "    corpus_from_json(doc)\n"
+        "except ParseError as exc:\n"
+        "    print(exc.line)\n", 0, "None\n", "", 20,
+        id="api-corpus_from_json-count"),
+    # thresholds are solved, not scanned up to k_max
+    pytest.param(_PAIR + "print(min_reversal_k(L, R, spec, 1998, 10**100))\n",
+                 0, "21\n", "", 20, id="api-min_reversal_k-10**100"),
+    pytest.param(
+        _PAIR + "rows = sensitivity_report(Corpus({'L': L, 'R': R}), spec, "
+        "10**100)\nprint([row.per_year_min_k for row in rows])\n",
+        0, "[{1998: 21, 1999: 21}]\n", "", 20,
+        id="api-sensitivity_report-10**100"),
+    pytest.param(
+        "from impactz import *\n"
+        "try:\n"
+        "    to_decimal(Ratio(1, 3), 10**100)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n", 0, "places must be an int from 0 to 1000\n", "",
+        20, id="api-to_decimal-places-10**100"),
+    # the longest int that argparse reads has 4300 digits
+    pytest.param(
+        ["sensitivity", *_TIED, "--k-max", "9" * 4301], 2, "",
+        "impactz sensitivity: error: argument --k-max: invalid int value: "
+        f"'{'9' * 4301}'\n", 20, id="sensitivity-k-max-4301-digits"),
+]
+
+
+@pytest.mark.parametrize("command, code, stdout, stderr, timeout", _EXTREMES)
+def test_extreme_input_under_a_memory_cap(tied_corpus, command, code, stdout,
+                                          stderr, timeout):
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          timeout=10, preexec_fn=_cap_address_space)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "window length must be <= 100, got 1000000000\n"
-    assert time.perf_counter() - start < 5  # interpreter start-up included
-
-
-@pytest.mark.parametrize("command, lines", [("rank", 20_000),
-                                           ("sensitivity", 0)])
-def test_all_tied_journals_rank_under_a_memory_cap(tmp_path, command, lines):
-    # 20,000 journals, each with one publication in Y - 1 and no citations,
-    # all tie at 0: a tie list per journal would hold 4 * 10**8 ids, so
-    # the run gets 1 GiB of address space
-    pubs = tmp_path / "pubs.csv"
-    cits = tmp_path / "cits.csv"
-    pubs.write_text("journal,year,pubs\n" + "".join(
-        f"J{i:05},{Y - 1},1\n" for i in range(20_000)))
-    cits.write_text("journal,citing_year,cited_year,count\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "impactz.cli", command, "--pubs", str(pubs),
-         "--cits", str(cits), "--kind", "sync-roa", "-n", "2",
-         "--year", str(Y)], capture_output=True, text=True, env=env,
-        timeout=60, preexec_fn=_cap_address_space)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    rows = proc.stdout.splitlines()
-    assert [row.split("\t", 1)[0] for row in rows] == ["1"] * lines
+        [sys.executable, *(["-c", command] if type(command) is str
+                           else ["-m", "impactz.cli", *command])],
+        capture_output=True, text=True, env=_cli_env(), cwd=tied_corpus,
+        timeout=timeout, preexec_fn=_cap_address_space)
+    assert time.perf_counter() - start < timeout / 2  # start-up included
+    err = proc.stderr
+    if code == 2:  # argparse's usage lines come first
+        err = err.splitlines(keepends=True)[-1]
+    assert (proc.returncode, err) == (code, stderr)
+    lines = proc.stdout.splitlines(keepends=True)  # so a mismatch shows its
+    if type(stdout) is int:                        # first line, not a diff
+        assert len(lines) == stdout
+    else:
+        assert lines == stdout.splitlines(keepends=True)
 
 
 # --- python -O ----------------------------------------------------------------
@@ -1046,29 +1098,17 @@ def test_mine_and_sensitivity_print_the_same_under_python_O(tmp_path):
     argvs += [["sensitivity", "--pubs", str(pubs), "--cits", str(cits),
                "--kind", kind, "-n", "2", "--year", "2000"]
               for kind in ("sync-roa", "sync-aor")]
-    env = {name: value for name, value in os.environ.items()
-           if name != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
     printed = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _RUN_EACH, json.dumps(argvs)],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_cli_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         printed.append(json.loads(proc.stdout))
     (plain_flag, plain), (optimized_flag, optimized) = printed
     assert (plain_flag, optimized_flag) == (0, 1)
     assert all(code == 0 and out for code, out in plain)
     assert optimized == plain
-
-
-def _cli_env():
-    """The environment of a fresh ``python -m impactz.cli`` process: this
-    impactz on its path, and no PYTHONOPTIMIZE."""
-    env = {name: value for name, value in os.environ.items()
-           if name != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = str(Path(impactz.__file__).resolve().parents[1])
-    return env
 
 
 def test_compute_prints_the_same_for_padded_signed_and_zero_led_numbers(

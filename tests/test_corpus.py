@@ -1096,3 +1096,30 @@ def test_sensitivity_solves_each_pair_in_one_pass(monkeypatch, kind):
     assert any(k is not None for row in rows
                for k in row.per_year_min_k.values())
     assert len(calls) == 4
+
+
+def test_sensitivity_report_drops_each_pair_s_values():
+    # each pair's verifier, and the values it holds, goes with the pair;
+    # one verifier for the whole report held every journal's window,
+    # "before" and checked "after" values to its end: about 8 times
+    # the peak of the report's own groups here, against about 2
+    rng = random.Random(5)
+    years = range(Y - 5, Y)
+    corpus = Corpus({f"J{j:04}": JournalData(
+        f"J{j:04}", {y: rng.randint(1, 50) for y in years},
+        {(Y, y): rng.randint(0, 10**6) for y in years}) for j in range(1000)})
+    spec = IndicatorSpec(IndicatorKind.SYNC_AOR, 5, Y)
+    peaks = []
+    for call in (corpus_module._groups,
+                 lambda corpus, spec: sensitivity_report(corpus, spec, 100)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = call(corpus, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sum(k is not None for row in result
+               for k in row.per_year_min_k.values()) > 2000
+    groups, report = peaks
+    assert report < 4 * groups, (groups, report)
