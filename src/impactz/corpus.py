@@ -15,7 +15,8 @@ import csv
 import io
 import os
 import re
-from itertools import groupby
+from contextlib import contextmanager, nullcontext
+from itertools import chain, groupby
 from math import gcd
 
 from .consistency import VerdictTag, _thresholds, _verifier
@@ -147,31 +148,59 @@ def _decode_error(exc: UnicodeDecodeError) -> ParseError:
                             f"0x{exc.object[exc.start]:02x}: {exc.reason}")
 
 
+@contextmanager
 def _csv_body(source, header: list[str]):
-    """A ``csv.reader`` past the checked header of a file object, an
-    ``os.PathLike`` path, or a ``str`` of CSV text (a ``str`` is never a
-    path).  A leading UTF-8 byte-order mark, as spreadsheet programs
-    write, is dropped, and bytes that do not decode are a ParseError at
-    their line."""
-    try:
-        if hasattr(source, "read"):
-            text = source.read()
-        elif isinstance(source, os.PathLike):
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
+    """A ``csv.reader`` past the checked header of a text file object, an
+    ``os.PathLike`` path, opened as UTF-8 text, or a ``str`` of CSV text
+    (a ``str`` is never a path); any other source is a TypeError.  A
+    leading UTF-8 byte-order mark, as spreadsheet programs write, is
+    dropped from the first line.
+
+    A file is read line by line and not held.  The one exception is a
+    file that cannot seek back, such as a pipe: it is read whole first.
+    Bytes that do not decode are a ParseError at their record, before
+    any other fault in the same file: when the block raises a
+    ValueError, a streamed file is decoded again from where the reader
+    started, and a byte that does not decode is raised in its place."""
+    with (open(source, encoding="utf-8") if isinstance(source, os.PathLike)
+          else nullcontext(source)) as source:
+        start = None  # where a streamed file began, to decode it again
+        if isinstance(source, str):
+            lines = io.StringIO(source)
+        elif hasattr(source, "read") and isinstance(source.read(0), str):
+            lines = source
+            try:
+                start = source.tell() if source.seekable() else None
+            except (AttributeError, OSError):
+                pass
+            if start is None:  # cannot seek back: decoded whole, up front
+                try:
+                    lines = io.StringIO(source.read())
+                except UnicodeDecodeError as exc:
+                    raise _decode_error(exc) from None
         else:
-            text = source
-    except UnicodeDecodeError as exc:
-        raise _decode_error(exc) from None
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    try:
-        got = next(reader, None)
-    except csv.Error as exc:
-        raise ParseError(1, str(exc)) from None
-    if got is not None and [cell.strip() for cell in got] != header:
-        raise ParseError(1, f"expected header {','.join(header)}, "
-                            f"got {','.join(got)}")
-    return reader
+            raise TypeError("a CSV source is a text file object, an "
+                            "os.PathLike path or a str of CSV text, not "
+                            f"{type(source).__name__}")
+        try:
+            first = next(lines, "").removeprefix("\ufeff")
+            reader = csv.reader(chain((first,) if first else (), lines))
+            try:
+                got = next(reader, None)
+            except csv.Error as exc:
+                raise ParseError(1, str(exc)) from None
+            if got is not None and [cell.strip() for cell in got] != header:
+                raise ParseError(1, f"expected header {','.join(header)}, "
+                                    f"got {','.join(got)}")
+            yield reader
+        except ValueError:
+            if start is not None:
+                source.seek(start)
+                try:
+                    source.read()
+                except UnicodeDecodeError as exc:
+                    raise _decode_error(exc) from None
+            raise
 
 
 def _slow_row(line: int, row: list[str], header: list[str]
@@ -201,10 +230,11 @@ def _slow_row(line: int, row: list[str], header: list[str]
 def load_corpus(pubs_source, cits_source) -> Corpus:
     """Build a validated Corpus from publication and citation CSVs.
 
-    Each source is a file object, an ``os.PathLike`` path, or a ``str``
-    of CSV text; a ``str`` is never opened as a path, and a leading
-    byte-order mark is dropped.  Journals present in only one file get
-    zero counts for the other side.  A journal id follows the
+    Each source is a text file object, an ``os.PathLike`` path, or a
+    ``str`` of CSV text, as :func:`_csv_body` reads them: a ``str`` is
+    never opened as a path, a leading byte-order mark is dropped, and a
+    file is read line by line, not held.  Journals present in only one
+    file get zero counts for the other side.  A journal id follows the
     :func:`_id_fault` rule, checked at the first row that names it.
 
     Every cell is read stripped of surrounding whitespace, and blank or
@@ -219,14 +249,16 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     pair, were seen before, and whose count text is "0" to "999" as
     written, costs one dict lookup per field and a duplicate test.  A
     journal's first row in a file costs one strip and one id lookup
-    more, and the id rule runs once per stripped id per file.  Any other
-    row goes through ``int()``, or, where ``int()`` refuses a field or
-    the row does not have its fields, is read cell by stripped cell; it
-    is then held to the sign and direction rules, and its key text is
-    remembered.  Zero rows are dropped after both files are read, in one
-    pass over the dicts that hold a zero.  What is held here grows with
-    the distinct journal, year and pair texts, not with the rows or the
-    distinct counts.
+    more, and the id rule runs once per stripped id per file.  A row of
+    remembered texts whose count text is off that table costs one
+    ``int()`` and the sign check more.  Any other row goes through
+    ``int()``, or, where ``int()`` refuses a field or the row does not
+    have its fields, is read cell by stripped cell; it is then held to
+    the sign and direction rules, and its key text is remembered.  Zero
+    rows are dropped after both files are read, in one pass over the
+    dicts that hold a zero.  What is held here grows with the distinct
+    journal, year and pair texts, not with the rows or the distinct
+    counts.
 
     The loaded corpus holds each count once: the per-journal dicts built
     here become the journals' own, and every journal shares one object
@@ -239,88 +271,105 @@ def load_corpus(pubs_source, cits_source) -> Corpus:
     years: dict[str, int] = {}  # each distinct year text, its year in keys
     pubs: dict[str, dict[int, int]] = {}
     known: dict[str, dict] = {}  # each raw journal text, its checked dict
-    reader = _csv_body(pubs_source, _PUBS_HEADER)
-    line = 1  # the header; a csv.Error is at the record after line
-    try:
-        for line, row in enumerate(reader, start=2):
-            # a memo holds only texts that passed every rule, so a row of
-            # remembered texts is not checked again
-            try:
-                journal, year, count = row
-                year = years[year]
-                count = common_counts[count]
-            except (KeyError, ValueError):
+    with _csv_body(pubs_source, _PUBS_HEADER) as reader:
+        line = 1  # the header; a csv.Error is at the record after line
+        try:
+            for line, row in enumerate(reader, start=2):
+                # a memo holds only texts that passed every rule, so a row
+                # of remembered texts is not checked again
                 try:
                     journal, year, count = row
-                    year = years.get(year) or int(year)
-                    count = int(count)
-                except ValueError:
-                    values = _slow_row(line, row, _PUBS_HEADER)
-                    if values is None:
-                        continue
-                    journal, year, count = values
-                if count < 0:
-                    fault = _sign_fault(count, "publication")
-                    raise ValidationError(f"line {line}: {fault}")
-                year = years[row[1]] = keys.setdefault(year, year)
-            per_journal = known.get(journal)
-            if per_journal is None:
-                journal_id = journal.strip()
-                if journal_id not in pubs and (fault := _id_fault(journal_id)):
-                    raise ValidationError(f"line {line}: {fault}")
-                per_journal = known[journal] = pubs.setdefault(journal_id, {})
-            if year in per_journal:
-                raise ValidationError(
-                    f"line {line}: duplicate publication row for "
-                    f"({journal.strip()}, {year})")
-            per_journal[year] = count
-    except csv.Error as exc:
-        raise ParseError(line + 1, str(exc)) from None
+                    year = years[year]
+                    count = common_counts[count]
+                except (KeyError, ValueError) as exc:
+                    # a year from the memo, and a KeyError, leave only the
+                    # count off the table
+                    new_year = type(exc) is not KeyError or type(year) is str
+                    try:
+                        if new_year:
+                            journal, year, count = row
+                            year = int(year)
+                        count = int(count)
+                    except ValueError:
+                        values = _slow_row(line, row, _PUBS_HEADER)
+                        if values is None:
+                            continue
+                        journal, year, count = values
+                        new_year = True
+                    if count < 0:
+                        fault = _sign_fault(count, "publication")
+                        raise ValidationError(f"line {line}: {fault}")
+                    if new_year:
+                        year = years[row[1]] = keys.setdefault(year, year)
+                per_journal = known.get(journal)
+                if per_journal is None:
+                    journal_id = journal.strip()
+                    if journal_id not in pubs and (
+                            fault := _id_fault(journal_id)):
+                        raise ValidationError(f"line {line}: {fault}")
+                    per_journal = known[journal] = pubs.setdefault(
+                        journal_id, {})
+                if year in per_journal:
+                    raise ValidationError(
+                        f"line {line}: duplicate publication row for "
+                        f"({journal.strip()}, {year})")
+                per_journal[year] = count
+        except csv.Error as exc:
+            raise ParseError(line + 1, str(exc)) from None
 
     # each distinct (citing, cited) text pair, its checked cell in keys
     cells: dict[tuple[str, str], tuple[int, int]] = {}
     cits: dict[str, dict[tuple[int, int], int]] = {}
     known = {}
-    reader = _csv_body(cits_source, _CITS_HEADER)
-    line = 1  # the header; a csv.Error is at the record after line
-    try:
-        for line, row in enumerate(reader, start=2):
-            try:
-                journal, citing, cited, count = row
-                cell = cells[citing, cited]
-                count = common_counts[count]
-            except (KeyError, ValueError):
+    with _csv_body(cits_source, _CITS_HEADER) as reader:
+        line = 1  # the header; a csv.Error is at the record after line
+        try:
+            for line, row in enumerate(reader, start=2):
                 try:
                     journal, citing, cited, count = row
-                    cell = (cells.get((citing, cited))
-                            or (int(citing), int(cited)))
-                    count = int(count)
-                except ValueError:
-                    values = _slow_row(line, row, _CITS_HEADER)
-                    if values is None:
-                        continue
-                    journal, *cell, count = values
-                citing, cited = cell
-                if count < 0 or citing < cited:
-                    fault = (_sign_fault(count, "citation")
-                             or _direction_fault(citing, cited))
-                    raise ValidationError(f"line {line}: {fault}")
-                cell = (keys.setdefault(citing, citing),
-                        keys.setdefault(cited, cited))
-                cell = cells[row[1], row[2]] = keys.setdefault(cell, cell)
-            per_journal = known.get(journal)
-            if per_journal is None:
-                journal_id = journal.strip()
-                if journal_id not in cits and (fault := _id_fault(journal_id)):
-                    raise ValidationError(f"line {line}: {fault}")
-                per_journal = known[journal] = cits.setdefault(journal_id, {})
-            if cell in per_journal:
-                raise ValidationError(
-                    f"line {line}: duplicate citation row for "
-                    f"({journal.strip()}, {cell[0]}, {cell[1]})")
-            per_journal[cell] = count
-    except csv.Error as exc:
-        raise ParseError(line + 1, str(exc)) from None
+                    cell = cells[citing, cited]
+                    count = common_counts[count]
+                except (KeyError, ValueError) as exc:
+                    # a KeyError on the count text, not on the (citing,
+                    # cited) pair, leaves only the count off the table
+                    new_cell = type(exc) is not KeyError or (
+                        exc.args[0] is not count)
+                    try:
+                        if new_cell:
+                            journal, citing, cited, count = row
+                            cell = int(citing), int(cited)
+                        count = int(count)
+                    except ValueError:
+                        values = _slow_row(line, row, _CITS_HEADER)
+                        if values is None:
+                            continue
+                        journal, *cell, count = values
+                        new_cell = True
+                    citing, cited = cell
+                    if count < 0 or citing < cited:
+                        fault = (_sign_fault(count, "citation")
+                                 or _direction_fault(citing, cited))
+                        raise ValidationError(f"line {line}: {fault}")
+                    if new_cell:
+                        cell = (keys.setdefault(citing, citing),
+                                keys.setdefault(cited, cited))
+                        cells[row[1], row[2]] = cell = keys.setdefault(
+                            cell, cell)
+                per_journal = known.get(journal)
+                if per_journal is None:
+                    journal_id = journal.strip()
+                    if journal_id not in cits and (
+                            fault := _id_fault(journal_id)):
+                        raise ValidationError(f"line {line}: {fault}")
+                    per_journal = known[journal] = cits.setdefault(
+                        journal_id, {})
+                if cell in per_journal:
+                    raise ValidationError(
+                        f"line {line}: duplicate citation row for "
+                        f"({journal.strip()}, {cell[0]}, {cell[1]})")
+                per_journal[cell] = count
+        except csv.Error as exc:
+            raise ParseError(line + 1, str(exc)) from None
 
     # zero rows are dropped only now, so that a later row for the same
     # key is still a duplicate at its line

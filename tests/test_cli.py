@@ -574,12 +574,60 @@ def test_byte_order_mark_prints_the_same(tmp_path, table_1a_files):
                                       "--cits", plain_cits, *spec])
 
 
+
+def test_line_ends_and_byte_order_mark_print_the_same(tmp_path):
+    # LF, CRLF and bare-CR files, each with and without a byte-order
+    # mark, read as one corpus; the citations span more than one 8 KiB
+    # chunk of a streamed read
+    texts = [Path(path).read_text() for path in _seeded_corpus(tmp_path)]
+    assert len(texts[1]) > 8192
+    printed = {}
+    for end in ("\n", "\r\n", "\r"):
+        for mark in ("", "\ufeff"):
+            paths = [tmp_path / f"{name}.csv" for name in ("pubs", "cits")]
+            for path, text in zip(paths, texts):
+                path.write_bytes((mark + text.replace("\n", end)).encode())
+            printed[end, mark] = [
+                invoke(["compute", "--pubs", str(paths[0]), "--cits",
+                        str(paths[1]), *spec]) for spec in _TABLE_SPECS]
+    plain = printed["\n", ""]
+    assert all(code == 0 and out for code, out in plain)
+    assert all(outputs == plain for outputs in printed.values())
+
+
+@pytest.mark.parametrize("raw", [
+    b'journal,year,pubs\r\n"J\r\nK",1999,1\r\n',
+    b'journal,year,pubs\r"J\rK",1999,1\r',
+], ids=["CRLF", "CR"])
+def test_quoted_line_break_in_an_id_reads_as_newline(tmp_path, capsys, raw):
+    # a file is read with universal newlines, so a quoted break in an id
+    # is refused as "\n", whichever line end the file uses
+    (tmp_path / "pubs.csv").write_bytes(raw)
+    (tmp_path / "cits.csv").write_text(_GOOD_CITS)
+    code, out = invoke(["compute", "--pubs", str(tmp_path / "pubs.csv"),
+                        "--cits", str(tmp_path / "cits.csv"),
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: line 2: journal id 'J\\nK' holds a tab or line break\n")
+
 def test_missing_file_is_exit_one(tmp_path):
     code, _ = invoke(["compute", "--pubs", str(tmp_path / "nope.csv"),
                       "--cits", str(tmp_path / "nope2.csv"),
                       "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
     assert code == 1
 
+
+
+def test_missing_file_comes_before_a_faulty_one(tmp_path, capsys):
+    # both files are opened before either one is read
+    pubs, cits = tmp_path / "pubs.csv", tmp_path / "nope.csv"
+    pubs.write_text("journal,year,pubs\nJ,1998,1\nJ,1998,2\n")
+    code, out = invoke(["compute", "--pubs", str(pubs), "--cits", str(cits),
+                        "--kind", "sync-roa", "-n", "2", "--year", str(Y)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(cits)!r}\n")
 
 def test_error_diagnostics_have_stable_prefix(tmp_path, capsys):
     invoke(["compute", "--pubs", str(tmp_path / "nope.csv"),
@@ -664,6 +712,15 @@ def test_bad_row_error_line_is_pinned(tmp_path, capsys, which, text,
      "line 4: utf-8 cannot decode byte 0xe9: invalid continuation byte"),
     (b'journal,year,pubs\n"J\nK",1998,10\nL,1998,\xc3\n',
      "line 3: utf-8 cannot decode byte 0xc3: invalid continuation byte"),
+    # a duplicate row comes first, but the bad byte is reported, as when
+    # the file was read whole before its rows; it sits past the first
+    # 8 KiB that a streamed read decodes
+    pytest.param(
+        b"journal,year,pubs\nJ,1998,1\nJ,1998,2\n"
+        + b"".join(b"K%d,1998,1\n" % number for number in range(3000))
+        + b"L\xe9,1998,1\n",
+        "line 3004: utf-8 cannot decode byte 0xe9: invalid continuation "
+        "byte", id="bad-byte-past-8-KiB-after-a-duplicate-row"),
 ])
 def test_non_utf8_csv_error_names_its_line(tmp_path, capsys, raw, message):
     (tmp_path / "pubs.csv").write_bytes(raw)

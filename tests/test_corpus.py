@@ -3,7 +3,9 @@ import csv
 import gc
 import io
 import json
+import os
 import random
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -172,6 +174,58 @@ def test_byte_order_mark_is_dropped(tmp_path):
     with pytest.raises(ParseError, match="line 1: expected header"):
         load_corpus("\ufeff" + pubs, cits)  # only a single mark is dropped
 
+
+
+@pytest.mark.parametrize("make_source", [
+    lambda path: None,
+    lambda path: 5,
+    lambda path: PUBS_1A.encode(),
+    lambda path: io.BytesIO(PUBS_1A.encode()),
+    lambda path: open(path, "rb"),
+    lambda path: open(path, "rb", buffering=0),
+], ids=["None", "int", "bytes", "BytesIO", "binary-file", "raw-file"])
+def test_source_of_another_kind_is_a_type_error(tmp_path, make_source):
+    # only a text file object, an os.PathLike path or a str is read; a
+    # binary file is not parsed as though it were text
+    path = tmp_path / "pubs.csv"
+    path.write_text(PUBS_1A)
+    for position in range(2):
+        source = make_source(path)
+        sources = [PUBS_1A, CITS_1A]
+        sources[position] = source
+        try:
+            with pytest.raises(TypeError) as exc_info:
+                load_corpus(*sources)
+        finally:
+            if hasattr(source, "close"):
+                source.close()
+        assert str(exc_info.value) == (
+            "a CSV source is a text file object, an os.PathLike path or a "
+            f"str of CSV text, not {type(source).__name__}")
+
+
+def test_streamed_load_peaks_near_what_the_corpus_keeps(tmp_path):
+    # each open file is read a line at a time and not held, so the load
+    # peaks little above the corpus it keeps: about 1.15 times it, where
+    # a whole-text read and its StringIO copy peaked at about 2.3 times
+    pubs, cits, rows = _seeded_csv(5, 300)
+    assert rows > 20_000
+    paths = tmp_path / "pubs.csv", tmp_path / "cits.csv"
+    for path, text in zip(paths, (pubs, cits)):
+        path.write_text(text, encoding="utf-8")
+    with open(paths[0], encoding="utf-8") as pubs_fh, \
+            open(paths[1], encoding="utf-8") as cits_fh:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(pubs_fh, cits_fh)
+            kept, peak = (size - start
+                          for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    assert len(corpus.journals) == 300
+    assert peak <= 1.5 * kept, peak / kept
 
 # --- JSON round-trip --------------------------------------------------------
 
@@ -534,6 +588,20 @@ _MEMO_CASES = {
         "line 3: citing year 1999 precedes cited year 2000"),
     "counts-int-reads": (
         "J,1999,1\nK,1999,1_000\nL,1999,+1000\nM,1999,00\n", "", None),
+    # a remembered key with a count off the table, then that key again
+    "off-table-count-on-a-remembered-year": (
+        "J,1999,1\nK,1999,1000\nK,1999,5\n", "",
+        "line 4: duplicate publication row for (K, 1999)"),
+    "off-table-count-on-a-remembered-cell": (
+        "", "J,2000,1999,5\nK,2000,1999,007\nK,2000,1999,1\n",
+        "line 4: duplicate citation row for (K, 2000, 1999)"),
+    # int() refuses the count, a stripped cell reads it
+    "unstripped-count-on-a-remembered-year": (
+        "J,1999,1\nK,1999,\x1c5\nK,1999,5\n", "",
+        "line 4: duplicate publication row for (K, 1999)"),
+    "unstripped-count-on-a-remembered-cell": (
+        "", "J,2000,1999,5\nK,2000,1999,\x1c5\nK,2000,1999,1\n",
+        "line 4: duplicate citation row for (K, 2000, 1999)"),
 }
 
 
@@ -818,6 +886,82 @@ def test_non_utf8_csv_is_parse_error_at_its_line(tmp_path, raw, line):
             assert exc_info.value.line == line, route
             assert str(exc_info.value).startswith(f"line {line}: utf-8 "
                                                   "cannot decode byte 0x")
+
+
+_FAULT_FIRST = {
+    # id: (the file that holds a fault, its lines 1 to 3, the fault)
+    "duplicate-row": (
+        "pubs", b"journal,year,pubs\nJ,1998,1\nJ,1998,2\n",
+        "line 3: duplicate publication row for (J, 1998)"),
+    "bad-count": (
+        "pubs", b"journal,year,pubs\nJ,1998,1\nJ,1999,x\n",
+        "line 3: pubs must be an integer, got 'x'"),
+    "field-over-the-limit": (
+        "pubs", b"journal,year,pubs\nJ,1998,1\nJ,1999," + _OVERLONG + b"\n",
+        "line 3: field larger than field limit (131072)"),
+    "header": (
+        "pubs", b"journal,yr,pubs\nJ,1998,1\nJ,1999,1\n",
+        "line 1: expected header journal,year,pubs, got journal,yr,pubs"),
+    "backward-citation": (
+        "cits", b"journal,citing_year,cited_year,count\n"
+                b"J,2000,1999,1\nJ,1998,1999,5\n",
+        "line 3: citing year 1998 precedes cited year 1999"),
+}
+
+
+def _pipe(raw: bytes):
+    """A text file object that reads ``raw`` from a pipe, which cannot
+    seek back."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        try:
+            with open(write_end, "wb") as writer:
+                writer.write(raw)
+        except BrokenPipeError:  # the reader was closed before the end
+            pass
+
+    threading.Thread(target=write, daemon=True).start()
+    return open(read_end, encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad_byte", [True, False],
+                         ids=["bad-byte", "no-bad-byte"])
+@pytest.mark.parametrize("which, head, fault", _FAULT_FIRST.values(),
+                         ids=_FAULT_FIRST)
+def test_bad_byte_comes_before_an_earlier_row_fault(tmp_path, which, head,
+                                                    fault, bad_byte):
+    # a file is read line by line, but a byte of it that does not decode
+    # is still reported before any fault in its rows, as when the file
+    # was read whole first; 3,000 rows put that byte past the first 8 KiB
+    # that a streamed read decodes
+    row = b"%s,1998,1\n" if which == "pubs" else b"%s,2000,1999,1\n"
+    rows = b"".join(row % b"K%d" % number for number in range(3000))
+    raw = head + rows + row % (b"L\xe9" if bad_byte else b"L")
+    assert raw.find(b"\xe9") > 8192 or not bad_byte
+    files = {"pubs": b"journal,year,pubs\n",
+             "cits": b"journal,citing_year,cited_year,count\n", which: raw}
+    paths = [tmp_path / f"{name}.csv" for name in files]
+    for path, data in zip(paths, files.values()):
+        path.write_bytes(data)
+    routes = {
+        "path": lambda: paths,
+        "file object": lambda: [open(path, encoding="utf-8")
+                                for path in paths],
+        "pipe": lambda: [_pipe(data) for data in files.values()],
+    }
+    want = ("line 3004: utf-8 cannot decode byte 0xe9: invalid continuation "
+            "byte" if bad_byte else fault)
+    for route, open_sources in routes.items():
+        sources = open_sources()
+        try:
+            with pytest.raises((ParseError, ValidationError)) as exc_info:
+                load_corpus(*sources)
+        finally:
+            for source in sources:
+                if route != "path":
+                    source.close()
+        assert str(exc_info.value) == want, route
 
 
 def test_only_checked_routes_skip_the_count_rules():
