@@ -18,8 +18,7 @@ from functools import cache, partial
 from .consistency import SearchBounds, _first, _witnesses
 from .core import _MAX_WINDOW, IndicatorKind, IndicatorSpec
 from .corpus import _groups, _sensitivity_rows, _values, load_corpus
-from .ratio import (_MAX_PLACES, _decimal_text, _fraction_text, _long_str,
-                    format_exact)
+from .ratio import _MAX_PLACES, _decimal_text, _fraction_text, _long_str
 
 _KINDS = {kind.value: kind for kind in IndicatorKind}
 
@@ -164,15 +163,25 @@ def _cmd_mine(args, out) -> int:
     return 0
 
 
+def _json_counts(items) -> str:
+    """``json.dumps(dict(items))`` for ``items`` of str keys that JSON
+    writes as they are (digits, "-" and "," only) and int values, each
+    int in full past the int-to-str digit limit, without ``json``."""
+    return "{" + ", ".join(f'"{key}": {_long_str(value)}'
+                           for key, value in items) + "}"
+
+
 def _mine_rows(witnesses, fmt: str):
     """One TSV line, or JSON row dict, per ``(left, right, injection,
-    verdict)`` of :func:`consistency._witnesses`, the miner generator,
-    each verified there as it is taken.  Each journal's pubs and
-    cits columns are formatted once per ``JournalData`` object, which the
-    miner shares across every pair of its box that holds that vector; the
-    TSV prefix and JSON dict of those four columns, and "before", once
-    per (left, right) pair; only inject_year, k and "after" per witness."""
-    import json
+    checked)`` of :func:`consistency._witnesses`, the miner generator,
+    each verified there as it is taken.  ``checked`` is the verifier's
+    ``(tag, before, after)``, each value a reduced ``(num, den)`` pair
+    written by :func:`~impactz.ratio._fraction_text`, so no ``Ratio`` is
+    built.  Each journal's pubs and cits columns are formatted once per
+    ``JournalData`` object, which the miner shares across every pair of
+    its box that holds that vector; the TSV prefix and JSON dict of those
+    four columns, and "before", once per (left, right) pair; only
+    inject_year, k and "after" per witness."""
     # id(data) -> (data, columns); holding data keeps its id from reuse
     held = {}
 
@@ -181,27 +190,27 @@ def _mine_rows(witnesses, fmt: str):
         if entry is None:
             # _long_str prints a year past the int-to-str digit limit too
             entry = held[id(data)] = data, (
-                json.dumps({_long_str(y): v
-                            for y, v in sorted(data.pubs.items())}),
-                json.dumps({f"{_long_str(c)},{_long_str(d)}": v
-                            for (c, d), v in sorted(data.cits.items())}))
+                _json_counts((_long_str(y), v)
+                             for y, v in sorted(data.pubs.items())),
+                _json_counts((f"{_long_str(c)},{_long_str(d)}", v)
+                             for (c, d), v in sorted(data.cits.items())))
         return entry[1]
 
     tsv = fmt == "tsv"
     year_text = cache(_long_str)  # each inject_year's TSV text, once
     left = right = None
-    for pair_left, pair_right, injection, verdict in witnesses:
+    for pair_left, pair_right, injection, checked in witnesses:
+        _, befores, (after_l, after_r) = checked
         if pair_left is not left or pair_right is not right:
             left, right = pair_left, pair_right
             journals = dict(zip(
                 ("left_pubs", "left_cits", "right_pubs", "right_cits"),
                 (*columns(left), *columns(right))))
             prefix = "\t".join(journals.values())
-            before = (f"{format_exact(verdict.before[0])} vs "
-                      f"{format_exact(verdict.before[1])}")
+            before = (f"{_fraction_text(*befores[0])} vs "
+                      f"{_fraction_text(*befores[1])}")
         (year, k), = injection.additions
-        after = (f"{format_exact(verdict.after[0])} vs "
-                 f"{format_exact(verdict.after[1])}")
+        after = f"{_fraction_text(*after_l)} vs {_fraction_text(*after_r)}"
         yield (f"{prefix}\t{year_text(year)}\t{k}\t{before}\t{after}\n"
                if tsv else {**journals, "inject_year": year, "k": k,
                             "before": before, "after": after})

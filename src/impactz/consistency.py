@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from functools import cache
 from itertools import islice, product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import gt
 
 from .core import (
@@ -121,30 +121,44 @@ def check_z_consistency(scenario: PairScenario) -> Verdict:
     pair's ordering.  Comparisons are exact; there is no tolerance.
 
     This is the one verifier, a fresh :func:`_verifier` for one
-    scenario, so every call recomputes the verdict from raw data.  The
-    miner keeps one :func:`_verifier` for a whole box instead, and the
-    sensitivity check one for each pair.
+    scenario, so every call recomputes the verdict from raw data; its
+    integer verdict becomes a :class:`Verdict` of :class:`Ratio` values
+    through :func:`_verdict`.  The miner keeps one :func:`_verifier` for
+    a whole box instead, and the sensitivity check one for each pair.
     """
-    return _verifier(scenario.spec)(scenario.left, scenario.right,
-                                    scenario.injection)
+    return _verdict(_verifier(scenario.spec)(
+        scenario.left, scenario.right, scenario.injection))
+
+
+def _verdict(checked: tuple, ratio: Callable[[int, int], Ratio] = Ratio
+             ) -> Verdict:
+    """The :class:`Verdict` of a :func:`_verifier` result ``(tag, before,
+    after)``, each value built as ``ratio(num, den)``; a caller that
+    shares values across verdicts passes a memoised ``ratio``."""
+    tag, (before_l, before_r), (after_l, after_r) = checked
+    return Verdict(tag, (ratio(*before_l), ratio(*before_r)),
+                   (ratio(*after_l), ratio(*after_r)))
 
 
 def _verifier(spec: IndicatorSpec
-              ) -> Callable[[JournalData, JournalData, Injection], Verdict]:
-    """``verify(left, right, injection)``: the verdict of ``injection``
-    applied to both journals, under ``spec``.
+              ) -> Callable[[JournalData, JournalData, Injection], tuple]:
+    """``verify(left, right, injection)``: the ``(tag, before, after)`` of
+    ``injection`` applied to both journals, under ``spec``, with
+    ``before`` and ``after`` each the (left, right) values as ``(num,
+    den)`` int pairs, reduced by one ``gcd``; :func:`_verdict` builds the
+    public :class:`Verdict` from it.
 
     Each journal's window counts and "before" value are evaluated once,
     and its "after" value once per distinct injection, for as long as
-    the verifier lives; each value is ``(num, den, Ratio)`` from
-    :func:`_evaluate` over that journal's own counts.  The tag follows
-    the signs of the exact cross-multiplied integer gaps before and
-    after.  Values are evaluated left ("before", then "after"), then
-    right.  A "before" ``ZeroDenominator`` names its phase and is not
-    held.  "After" cannot raise one: an ``Injection`` only adds counts
-    > 0, so no window year has fewer publications than before, and
-    sync-roa's ``any(pubs)`` and the other kinds' ``all(pubs)`` still
-    hold.
+    the verifier lives; each value is :func:`_evaluate`'s over that
+    journal's own counts, and the same tuple object is returned each
+    time it is read.  The tag follows the signs of the exact
+    cross-multiplied integer gaps before and after.  Values are
+    evaluated left ("before", then "after"), then right.  A "before"
+    ``ZeroDenominator`` names its phase and is not held.  "After" cannot
+    raise one: an ``Injection`` only adds counts > 0, so no window year
+    has fewer publications than before, and sync-roa's ``any(pubs)`` and
+    the other kinds' ``all(pubs)`` still hold.
 
     The memo is keyed by ``id(data)`` and holds ``data``, so no id is
     reused while the verifier lives; it never sees a change to a
@@ -165,8 +179,9 @@ def _verifier(spec: IndicatorSpec
                 raise ZeroDenominator(f"{exc} (before injection)",
                                       year=exc.year,
                                       journal=exc.journal) from exc
+            g = gcd(num, den)
             entry = held[id(data)] = (data, pubs, cits,
-                                      (num, den, Ratio(num, den)), {})
+                                      (num // g, den // g), {})
         _, pubs, cits, before, afters = entry
         after = afters.get(injection.additions)
         if after is None:
@@ -174,14 +189,15 @@ def _verifier(spec: IndicatorSpec
             num, den = _evaluate(
                 data.journal_id, spec, years,
                 [p + added.get(y, 0) for y, p in zip(years, pubs)], cits)
-            after = afters[injection.additions] = num, den, Ratio(num, den)
+            g = gcd(num, den)
+            after = afters[injection.additions] = num // g, den // g
         return before, after
 
     def verify(left, right, injection):
-        (nl, dl, before_l), (nl_k, dl_k, after_l) = values(left, injection)
-        (nr, dr, before_r), (nr_k, dr_k, after_r) = values(right, injection)
-        before = nl * dr - nr * dl
-        gap = nl_k * dr_k - nr_k * dl_k
+        before_l, after_l = values(left, injection)
+        before_r, after_r = values(right, injection)
+        before = before_l[0] * before_r[1] - before_r[0] * before_l[1]
+        gap = after_l[0] * after_r[1] - after_r[0] * after_l[1]
         if not before:
             tag = VerdictTag.TIE_BEFORE
         elif not gap:
@@ -190,7 +206,7 @@ def _verifier(spec: IndicatorSpec
             tag = VerdictTag.REVERSED
         else:
             tag = VerdictTag.PRESERVED
-        return Verdict(tag, (before_l, before_r), (after_l, after_r))
+        return tag, (before_l, before_r), (after_l, after_r)
 
     return verify
 
@@ -335,12 +351,16 @@ def iter_counterexamples(kind: IndicatorKind, bounds: SearchBounds, *,
                          ) -> Iterator[ReversalWitness]:
     """Exhaustively enumerate integer publication/citation assignments
     within ``bounds`` and yield every reversal witness, one at a time:
-    each ``(left, right, injection, verdict)`` of :func:`_witnesses`,
+    each ``(left, right, injection, checked)`` of :func:`_witnesses`,
     the one miner generator, which lists, solves and verifies it, as a
-    ``ReversalWitness`` of its ``PairScenario``."""
+    ``ReversalWitness`` of its ``PairScenario`` and the :func:`_verdict`
+    of ``checked``.  One :class:`Ratio` is built per distinct value of
+    the box, and shared by every verdict that holds it."""
     spec = IndicatorSpec(kind, bounds.n, bounds.target_year, bounds.s)
-    for left, right, inj, verdict in _witnesses(kind, bounds, equal_pubs):
-        yield ReversalWitness(PairScenario(left, right, spec, inj), verdict)
+    ratio = cache(Ratio)
+    for left, right, inj, checked in _witnesses(kind, bounds, equal_pubs):
+        yield ReversalWitness(PairScenario(left, right, spec, inj),
+                              _verdict(checked, ratio))
 
 
 def _journal(name: str, years, pubs_vec, cells, cits_vec) -> JournalData:
@@ -409,7 +429,9 @@ _MAX_VECTORS = 10**5
 def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
                ) -> Iterator[tuple]:
     """Every reversal witness of the box as a ``(left, right, injection,
-    verdict)`` tuple, not a record, in canonical order: lexicographic over
+    checked)`` tuple, not a record, with ``checked`` the box's
+    :func:`_verifier` result ``(tag, before, after)`` of reduced int
+    pairs, in canonical order: lexicographic over
     (left pubs, left cits, right pubs, right cits, injection year, k),
     vectors by ascending year; each pair once, oriented left < right.  An
     ``equal_pubs`` that is not a ``bool``, or a box over
@@ -432,8 +454,9 @@ def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
     :func:`_verifier`, the one verifier behind
     :func:`check_z_consistency`, built once after the checks; it
     evaluates each journal's "before" and each (journal, injection)
-    "after" once per box.  A tag other than REVERSED raises
-    AssertionError, under ``python -O`` too.
+    "after" once per box, and builds no :class:`Ratio` or
+    :class:`Verdict`.  A tag other than REVERSED raises AssertionError,
+    under ``python -O`` too.
 
     Each (side, pubs, cits) vector is one ``JournalData`` object for the
     whole box, and each (year, k) one ``Injection``, both immutable and
@@ -492,8 +515,8 @@ def _witnesses(kind: IndicatorKind, bounds: SearchBounds, equal_pubs: bool
                     for year, (lo, hi) in runs:
                         for k in range(lo, min(hi or k_max, k_max) + 1):
                             injection = single(year, k)
-                            verdict = verify(left, right, injection)
-                            if verdict.tag is not VerdictTag.REVERSED:
+                            checked = verify(left, right, injection)
+                            if checked[0] is not VerdictTag.REVERSED:
                                 raise AssertionError(
                                     "miner candidate failed self-check")
-                            yield left, right, injection, verdict
+                            yield left, right, injection, checked

@@ -15,6 +15,7 @@ import csv
 import io
 import os
 import re
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from itertools import chain, groupby
 from math import gcd
@@ -555,35 +556,40 @@ def sensitivity_report(corpus: Corpus, spec: IndicatorSpec, k_max: int
     """
     if fault := _positive_fault(k_max, "k_max"):
         raise ValidationError(fault)
-    return _sensitivity_rows(corpus, spec, k_max)[0]
+    return list(_sensitivity_rows(corpus, spec, k_max)[0])
 
 
 def _sensitivity_rows(corpus: Corpus, spec: IndicatorSpec, k_max: int
-                      ) -> tuple[list[SensitivityRow], list[tuple[str, str]]]:
-    """:func:`sensitivity_report`'s rows, each pair the last id of a
-    :func:`_groups` group and the first of the next, and the skipped journals.
+                      ) -> tuple[Iterator[SensitivityRow],
+                                 list[tuple[str, str]]]:
+    """:func:`sensitivity_report`'s rows, yielded one at a time, each
+    pair the last id of a :func:`_groups` group and the first of the
+    next, and the skipped journals, known before the first row.
 
     Each pair's minima come from one :func:`_thresholds` call, checked by
     a :func:`_verifier` of that pair alone, so each journal's "before"
     value is evaluated once per pair it takes part in, and what the
-    verifier holds is dropped with the pair: the report keeps no values
-    of the journals it has passed."""
+    verifier holds is dropped with the pair: a caller that takes the rows
+    one at a time keeps no values, and no rows, of the pairs it has
+    passed."""
     groups, skipped = _groups(corpus, spec)
-    rows: list[SensitivityRow] = []
-    for (_, _, upper), (_, _, lower) in zip(groups, groups[1:]):
-        left = corpus.journals[upper[-1]]
-        right = corpus.journals[lower[0]]
-        per_year = {year: k if k is not None and k <= k_max else None
-                    for year, k in _thresholds(left, right, spec).items()}
-        verify = _verifier(spec)
-        for year, k in per_year.items():
-            if k is not None:
-                # k reverses the pair and k - 1 does not
-                *below, at = (
-                    verify(left, right, Injection.single(year, j)).tag
-                    is VerdictTag.REVERSED
-                    for j in range(max(k - 1, 1), k + 1))
-                if not at or any(below):
-                    raise AssertionError
-        rows.append(SensitivityRow(upper[-1], lower[0], per_year, k_max))
-    return rows, skipped
+
+    def rows():
+        for (_, _, upper), (_, _, lower) in zip(groups, groups[1:]):
+            left = corpus.journals[upper[-1]]
+            right = corpus.journals[lower[0]]
+            per_year = {year: k if k is not None and k <= k_max else None
+                        for year, k in _thresholds(left, right, spec).items()}
+            verify = _verifier(spec)
+            for year, k in per_year.items():
+                if k is not None:
+                    # k reverses the pair and k - 1 does not
+                    *below, at = (
+                        verify(left, right, Injection.single(year, j))[0]
+                        is VerdictTag.REVERSED
+                        for j in range(max(k - 1, 1), k + 1))
+                    if not at or any(below):
+                        raise AssertionError
+            yield SensitivityRow(upper[-1], lower[0], per_year, k_max)
+
+    return rows(), skipped

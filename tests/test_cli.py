@@ -19,8 +19,11 @@ import impactz
 from impactz import (
     IndicatorKind,
     IndicatorSpec,
+    Injection,
+    JournalData,
     Ratio,
     SearchBounds,
+    VerdictTag,
     cli,
     consistency,
     format_exact,
@@ -29,6 +32,7 @@ from impactz import (
     rank,
 )
 from impactz.cli import run
+from impactz.ratio import _long_str
 
 from conftest import Y
 from test_corpus import CITS_1A, CITS_2, PUBS_1A, PUBS_2
@@ -194,10 +198,15 @@ def test_sensitivity_prints_window_years_past_the_int_digit_limit(tmp_path,
 
 
 def _parts(witnesses):
-    """Each witness record as the (left, right, injection, verdict) that
-    ``cli._mine_rows`` reads."""
+    """Each witness record as the (left, right, injection, checked) that
+    ``cli._mine_rows`` reads, ``checked`` its verdict as the verifier's
+    (tag, before, after) of (num, den) pairs."""
+    def pairs(values):
+        return tuple((r.numerator, r.denominator) for r in values)
+
     return ((w.scenario.left, w.scenario.right, w.scenario.injection,
-             w.verdict) for w in witnesses)
+             (w.verdict.tag, pairs(w.verdict.before), pairs(w.verdict.after)))
+            for w in witnesses)
 
 
 def test_mine_rows_print_pubs_years_past_the_int_digit_limit():
@@ -831,7 +840,7 @@ def test_mine_rows_hold_what_they_memoise(fmt):
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_mine_rows_build_no_witness_records(monkeypatch, fmt):
     # the benchmark's sync-aor box: every row is written from the miner's
-    # (left, right, injection, verdict), so building a record fails it
+    # (left, right, injection, checked), so building a record fails it
     def refuse(*args):
         raise AssertionError("mine built a witness record")
 
@@ -847,6 +856,71 @@ def test_mine_rows_build_no_witness_records(monkeypatch, fmt):
     assert all(witness.verify() for witness in witnesses)
     assert out.splitlines(keepends=True) \
         == _listed_mine_output(witnesses, fmt).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_mine_builds_no_ratio_or_verdict(monkeypatch, fmt):
+    # the benchmark's sync-aor box: the verifier holds reduced integer
+    # pairs, and the rows are written from them
+    def refuse(*args):
+        raise AssertionError("mine built a Ratio or a Verdict")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(consistency, "Verdict", refuse)
+        patch.setattr(Ratio, "__new__", refuse)
+        code, out = invoke(_mine_argv("sync-aor", 2, 2, 4, 4, 10**6, fmt))
+    assert code == 0
+    bounds = SearchBounds(n=2, pub_max=2, cit_max=4, k_max=4, target_year=Y)
+    witnesses = mine_counterexamples(IndicatorKind.SYNC_AOR, bounds, 10**6)
+    assert len(witnesses) == 3804
+    assert out.splitlines(keepends=True) \
+        == _listed_mine_output(witnesses, fmt).splitlines(keepends=True)
+
+
+def _dumped_columns(data):
+    """A journal's pubs and cits columns by the ``json.dumps`` rule."""
+    return (json.dumps({_long_str(y): v for y, v in sorted(data.pubs.items())}),
+            json.dumps({f"{_long_str(c)},{_long_str(d)}": v
+                        for (c, d), v in sorted(data.cits.items())}))
+
+
+def _journal_columns(witnesses):
+    """The four journal columns of each row that ``cli._mine_rows``
+    writes for ``witnesses``, as JSON row dicts."""
+    return [[row[column] for column in _MINE_COLUMNS[:4]]
+            for row in cli._mine_rows(witnesses, "json")]
+
+
+@pytest.mark.parametrize("kind, pub_max, cit_max, k_max", [
+    ("sync-roa", 2, 5, 6), ("diachronous", 4, 6, 4), ("sync-aor", 2, 4, 4)])
+def test_mine_columns_match_json_dumps_on_the_bench_boxes(kind, pub_max,
+                                                          cit_max, k_max):
+    bounds = SearchBounds(n=2, pub_max=pub_max, cit_max=cit_max,
+                          k_max=k_max, target_year=Y)
+    witnesses = list(consistency._witnesses(IndicatorKind(kind), bounds,
+                                            False))
+    assert _journal_columns(iter(witnesses)) == [
+        [*_dumped_columns(left), *_dumped_columns(right)]
+        for left, right, _, _ in witnesses]
+
+
+# a year of 4301 digits, either sign, is drawn as its sign: hypothesis
+# cannot print a strategy that holds an int past the digit limit
+_years = st.one_of(st.integers(-3000, 3000),
+                   st.sampled_from([1, -1]).map(lambda sign: sign * 10**4300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_years, st.integers(0, 10**6), max_size=4),
+       st.dictionaries(st.tuples(_years, st.integers(0, 3)),
+                       st.integers(0, 10**6), max_size=4))
+def test_mine_columns_match_json_dumps(pubs, cits):
+    # cited years are citing years minus 0..3, so citing >= cited
+    data = JournalData("L", pubs, {(citing, citing - back): count
+                                   for (citing, back), count in cits.items()})
+    checked = (VerdictTag.REVERSED, ((1, 1), (1, 1)), ((1, 1), (1, 1)))
+    assert _journal_columns([(data, data, Injection.single(Y, 1), checked)]) \
+        == [[*_dumped_columns(data)] * 2]
 
 
 def test_mine_builds_few_journals_in_a_large_box(monkeypatch):

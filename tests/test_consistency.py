@@ -38,6 +38,7 @@ from impactz import consistency
 from impactz.consistency import (
     _reversal_window,
     _thresholds,
+    _verdict,
     _verifier,
 )
 
@@ -225,7 +226,7 @@ def test_batch_verdicts_match_rebuilt_journals(pair, injections):
                     == (str(exc), exc.year, exc.journal)
                 assert str(got.value).endswith("(before injection)")
                 continue
-            got = verify(first, second, injection)
+            got = _verdict(verify(first, second, injection))
             assert got == want
             assert all(type(v) is Ratio for v in got.before + got.after)
 
@@ -521,12 +522,16 @@ def test_mined_journals_match_checked_construction(monkeypatch, kind):
                                    dict(zip(cells, cits_vec)))
 
 
-@pytest.mark.parametrize("kind, pub_max, cit_max, k_max, evaluations", [
-    # the benchmark's mine boxes: 3,869 values for 15,226 witnesses
+# the benchmark's mine boxes: 3,869 values for 15,226 witnesses
+_BENCH_EVALUATIONS = [
     ("sync-roa", 2, 5, 6, 1628),
     ("diachronous", 4, 6, 4, 1121),
     ("sync-aor", 2, 4, 4, 1120),
-])
+]
+
+
+@pytest.mark.parametrize("kind, pub_max, cit_max, k_max, evaluations",
+                         _BENCH_EVALUATIONS)
 def test_miner_evaluates_each_value_once(monkeypatch, kind, pub_max, cit_max,
                                          k_max, evaluations):
     calls = []
@@ -548,6 +553,31 @@ def test_miner_evaluates_each_value_once(monkeypatch, kind, pub_max, cit_max,
               for data in (w.scenario.left, w.scenario.right)}
     # one "before" per journal and one "after" per (journal, injection)
     assert len(calls) == len(journals) + len(afters) == evaluations
+
+
+@pytest.mark.parametrize("kind, pub_max, cit_max, k_max, evaluations",
+                         _BENCH_EVALUATIONS)
+def test_public_miner_builds_one_ratio_per_value(monkeypatch, kind, pub_max,
+                                                 cit_max, k_max, evaluations):
+    # the records share each value the verifier holds; one Ratio per
+    # witness side would build 4 for each of the box's witnesses
+    built = []
+    build = Ratio.__new__
+
+    def counted(cls, *args):
+        built.append(args)
+        return build(cls, *args)
+
+    bounds = SearchBounds(n=2, pub_max=pub_max, cit_max=cit_max,
+                          k_max=k_max, target_year=Y)
+    with monkeypatch.context() as patch:
+        patch.setattr(Ratio, "__new__", counted)
+        witnesses = list(consistency.iter_counterexamples(IndicatorKind(kind),
+                                                          bounds))
+    assert 0 < len(built) <= evaluations < len(witnesses)
+    assert all(type(v) is Ratio for w in witnesses
+               for v in w.verdict.before + w.verdict.after)
+    assert all(w.verify() for w in witnesses)
 
 
 @pytest.mark.parametrize("bounds, equal_pubs, witnesses, verifiers", [
@@ -590,7 +620,8 @@ def test_verifier_holds_what_it_memoises():
     verify = _verifier(witnesses[0].scenario.spec)
     for witness in witnesses:
         scenario = copy.deepcopy(witness.scenario)
-        assert verify(scenario.left, scenario.right, scenario.injection) \
+        assert _verdict(verify(scenario.left, scenario.right,
+                               scenario.injection)) \
             == check_z_consistency(scenario) == witness.verdict
         del scenario
 

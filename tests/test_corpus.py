@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +32,7 @@ from impactz import (
     sensitivity_report,
     sync_if_roa,
 )
-from impactz import consistency, core
+from impactz import cli, consistency, core
 from impactz import corpus as corpus_module
 
 from conftest import Y
@@ -1242,11 +1243,10 @@ def test_sensitivity_solves_each_pair_in_one_pass(monkeypatch, kind):
     assert len(calls) == 4
 
 
-def test_sensitivity_report_drops_each_pair_s_values():
-    # each pair's verifier, and the values it holds, goes with the pair;
-    # one verifier for the whole report held every journal's window,
-    # "before" and checked "after" values to its end: about 8 times
-    # the peak of the report's own groups here, against about 2
+def _distinct_aor_peaks(*calls):
+    """Each ``call(corpus, spec)``'s tracemalloc peak on 1,000 sync-aor
+    journals at n = 5 whose values are all distinct, and the last call's
+    result."""
     rng = random.Random(5)
     years = range(Y - 5, Y)
     corpus = Corpus({f"J{j:04}": JournalData(
@@ -1254,8 +1254,7 @@ def test_sensitivity_report_drops_each_pair_s_values():
         {(Y, y): rng.randint(0, 10**6) for y in years}) for j in range(1000)})
     spec = IndicatorSpec(IndicatorKind.SYNC_AOR, 5, Y)
     peaks = []
-    for call in (corpus_module._groups,
-                 lambda corpus, spec: sensitivity_report(corpus, spec, 100)):
+    for call in calls:
         gc.collect()
         tracemalloc.start()
         try:
@@ -1263,7 +1262,33 @@ def test_sensitivity_report_drops_each_pair_s_values():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks, result
+
+
+def test_sensitivity_report_drops_each_pair_s_values():
+    # each pair's verifier, and the values it holds, goes with the pair;
+    # one verifier for the whole report held every journal's window,
+    # "before" and checked "after" values to its end: about 8 times
+    # the peak of the report's own groups here, against about 2
+    peaks, result = _distinct_aor_peaks(
+        corpus_module._groups,
+        lambda corpus, spec: sensitivity_report(corpus, spec, 100))
     assert sum(k is not None for row in result
                for k in row.per_year_min_k.values()) > 2000
     groups, report = peaks
     assert report < 4 * groups, (groups, report)
+
+
+def test_sensitivity_table_streams_its_rows():
+    # the CLI's table takes each row as it is yielded and keeps none:
+    # about 1.4 times the peak of the groups here; listing the 999
+    # SensitivityRows before the first line is written reads about 2.6
+    def table(corpus, spec):
+        _, rows, skipped = cli._sensitivity_table(
+            corpus, spec, SimpleNamespace(k_max=100))
+        return sum(1 for _ in rows), skipped
+
+    (groups, streamed), (lines, skipped) = _distinct_aor_peaks(
+        corpus_module._groups, table)
+    assert (lines, skipped) == (5 * 999, [])
+    assert streamed < 2 * groups, (groups, streamed)

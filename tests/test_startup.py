@@ -46,10 +46,21 @@ def test_json_and_reference_load_only_for_the_commands_that_use_them(
     cits.write_text(CITS_1A)
     compute = ["compute", "--pubs", str(pubs), "--cits", str(cits),
                "--kind", "sync-roa", "-n", "2", "--year", str(Y)]
+    mine = ["mine", "--kind", "sync-aor", "-n", "2", "--year", str(Y),
+            "--pub-max", "2", "--cit-max", "4", "--k-max", "4"]
     steps = _loaded_after(f"""
 import io; from impactz import cli
 assert cli.run({compute!r}, io.StringIO()) == 0
+assert cli.run({mine!r}, io.StringIO()) == 0
 assert cli.run({compute + ["--format", "json"]!r}, io.StringIO()) == 0
 assert cli.run(["verify-paper"], io.StringIO()) == 0
 """)
-    assert steps == [set(), set(), {"json"}, {"json", "impactz.reference"}]
+    assert steps == [set(), set(), set(), {"json"},
+                     {"json", "impactz.reference"}]
+    # a fresh process, so that json is loaded by mine's own JSON output
+    steps = _loaded_after(f"""
+import io; from impactz import cli
+assert cli.run({mine!r}, io.StringIO()) == 0
+assert cli.run({mine + ["--format", "json"]!r}, io.StringIO()) == 0
+""")
+    assert steps == [set(), set(), {"json"}]
