@@ -1011,7 +1011,13 @@ def _cli_env():
 
 def _run_with_closed_stdout(argv, lines_read):
     """Run the CLI in a fresh process whose stdout reader reads
-    ``lines_read`` lines and then closes the pipe, as ``| head`` does."""
+    ``lines_read`` lines and then closes the pipe, as ``| head`` does, or,
+    for ``None``, whose fd 1 is closed before it starts, as ``>&-`` does."""
+    if lines_read is None:
+        proc = subprocess.run([sys.executable, "-m", "impactz.cli", *argv],
+                              stderr=subprocess.PIPE, env=_cli_env(),
+                              preexec_fn=lambda: os.close(1), timeout=60)
+        return proc.returncode, proc.stderr
     read_end, write_end = os.pipe()
     reader = open(read_end, "rb")
     if not lines_read:
@@ -1032,9 +1038,23 @@ def _run_with_closed_stdout(argv, lines_read):
     (_mine_argv("sync-aor", 2, 4, 8, 4, 5000, "tsv"), 1),
     # a reader gone before the first byte: the flush itself fails
     (["verify-paper"], 0),
+    # no stdout at all: sys.stdout is None, and the first write fails,
+    # be it write or writelines
+    (["verify-paper"], None),
+    (_mine_argv("sync-aor", 2, 4, 8, 4, 10, "tsv"), None),
+    (_mine_argv("sync-aor", 2, 4, 8, 4, 10, "json"), None),
 ])
 def test_closed_stdout_is_exit_one_and_silent(argv, lines_read):
     assert _run_with_closed_stdout(argv, lines_read) == (1, b"")
+
+
+def test_closed_fd_one_still_reports_a_data_error_before_any_write(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["compute", "--pubs", "missing.csv", "--cits", "missing.csv",
+            "--kind", "sync-roa", "-n", "2", "--year", str(Y)]
+    assert _run_with_closed_stdout(argv, None) == (
+        1, b"error: [Errno 2] No such file or directory: 'missing.csv'\n")
 
 
 # --- extremes: every capped run ----------------------------------------------
